@@ -3,26 +3,31 @@
  * Ablation: virtual cut-through at network scale — undoing the
  * paper's simulation simplification.  Section 4.2 merged the
  * 8-clock transmission and 4-clock routing into synchronized
- * 12-clock slots; this bench runs the clock-granularity simulator
- * where the two are separate, and compares:
+ * 12-clock slots; this bench runs the flit-level engine, where a
+ * packet is W = 8 flits crossing a link one per clock and every
+ * switch takes R = 4 clocks to turn a head around, and compares:
  *
  *  - virtual cut-through (what the DAMQ hardware supports, Table 1)
  *  - store-and-forward
  *
  * for FIFO and DAMQ buffers.  Expected: VCT's unloaded latency is
- * hops*R + W = 3*4 + 8 = 20 clocks versus ~32+ for S&F; the
- * advantage shrinks as load grows (a classic Kermani-Kleinrock
- * result) because fewer heads find idle outputs; and DAMQ cuts
- * through more often than FIFO, whose cut-through requires the
- * *entire* buffer to be empty.
+ * S*R + W - 1 = 19 clocks versus R + (S-1)*max(W,R) + W - 1 = 27 for
+ * store-and-forward (S = 3 stages); the advantage shrinks as load
+ * grows (a classic Kermani-Kleinrock result) because fewer heads
+ * find idle outputs; and DAMQ cuts through more often than FIFO,
+ * whose head can leave only once every packet ahead of it has.
+ *
+ * Exits non-zero when a floor misses its closed form or one of the
+ * orderings above fails.
  */
 
+#include <algorithm>
 #include <iostream>
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/bit_util.hh"
 #include "common/string_util.hh"
-#include "network/cutthrough_sim.hh"
 #include "runner/network_sweep.hh"
 #include "stats/text_table.hh"
 
@@ -30,17 +35,43 @@ namespace {
 
 using namespace damq;
 
-CutThroughConfig
-pointConfig(BufferType type, SwitchingMode mode, double load)
+constexpr std::uint32_t kPorts = 64;
+constexpr std::uint32_t kRadix = 4;
+constexpr std::uint32_t kWire = 8;  ///< W: flits (clocks) per packet
+constexpr std::uint32_t kRoute = 4; ///< R: head turn-around clocks
+
+NetworkConfig
+pointConfig(BufferType type, Switching mode, double load)
 {
-    CutThroughConfig cfg;
+    NetworkConfig cfg;
+    cfg.numPorts = kPorts;
+    cfg.radix = kRadix;
     cfg.bufferType = type;
-    cfg.mode = mode;
-    cfg.offeredLoad = load;
+    cfg.switching = mode;
+    cfg.flitsPerPacket = kWire;
+    cfg.routeCycles = kRoute;
+    cfg.slotsPerBuffer = 4 * kWire; // four packets' worth of flits
+    cfg.offeredLoad = load / kWire; // fraction of link capacity
     cfg.common.seed = 414;
     cfg.common.warmupCycles = 10000;
     cfg.common.measureCycles = 60000;
     return cfg;
+}
+
+/** Latency in clocks: one engine cycle moves one flit (one clock). */
+double
+clocks(double latency)
+{
+    return latency / static_cast<double>(kClocksPerNetworkCycle);
+}
+
+/** Delivered flits per endpoint per cycle: a fraction of capacity. */
+double
+deliveredLoad(const NetworkResult &r)
+{
+    return static_cast<double>(r.window.deliveredFlits) /
+           (static_cast<double>(kPorts) *
+            static_cast<double>(r.measuredCycles));
 }
 
 const double kLoads[] = {0.05, 0.30, 0.50, 0.90};
@@ -54,74 +85,118 @@ main(int argc, char **argv)
 
     ArgParser args("ablation_cutthrough",
                    "Virtual cut-through vs store-and-forward at "
-                   "clock granularity");
+                   "flit granularity");
     addCommonSimFlags(args);
     args.parse(argc, argv);
     SweepRunner runner(simThreads(args));
 
     banner("Ablation - virtual cut-through vs store-and-forward",
-           "clock-granularity 64x64 Omega (W=8 transmit, R=4 route "
-           "clocks), blocking, 4 slots; latency in clocks, loads as "
-           "fraction of link capacity");
+           "flit-level 64x64 Omega (W=8 flits at one per clock, R=4 "
+           "route clocks), credits, 32 flit slots; latency in "
+           "clocks, loads as fraction of link capacity");
 
-    std::vector<CutThroughTask> tasks;
+    const std::uint32_t stages = exactLogBase(kPorts, kRadix);
+    const double vct_floor = stages * kRoute + kWire - 1;
+    const double snf_floor =
+        kRoute + (stages - 1) * std::max(kWire, kRoute) + kWire - 1;
+
+    const Switching modes[] = {Switching::VirtualCutThrough,
+                               Switching::StoreAndForward};
+    std::vector<NetworkTask> tasks;
     for (const BufferType type :
          {BufferType::Fifo, BufferType::Damq}) {
-        for (const SwitchingMode mode :
-             {SwitchingMode::CutThrough,
-              SwitchingMode::StoreAndForward}) {
+        for (const Switching mode : modes) {
             for (const double load : kLoads) {
                 tasks.push_back(
                     {detail::concat(bufferTypeName(type), "/",
-                                    switchingModeName(mode), "@",
+                                    switchingName(mode), "@",
                                     formatFixed(load, 2)),
                      pointConfig(type, mode, load)});
             }
         }
     }
-    for (CutThroughTask &task : tasks)
+    for (NetworkTask &task : tasks)
         applyCommonSimFlags(args, task.config.common,
                             "ablation_cutthrough");
-    const std::vector<CutThroughResult> results =
-        runSimSweep(runner, tasks);
+    const std::vector<NetworkResult> results =
+        runNetworkSweep(runner, tasks);
 
     TextTable table;
     table.setHeader({"Buffer", "mode", "lat@0.05", "lat@0.30",
                      "lat@0.50", "cut-through %@0.30",
                      "delivered@0.9 offered"});
 
+    std::vector<std::string> failures;
+    double mid_latency[2][2] = {}; // [buffer][mode]
+    double cut_fraction[2] = {};   // [buffer], VCT at 0.30
     std::size_t next = 0;
-    for (const BufferType type :
-         {BufferType::Fifo, BufferType::Damq}) {
-        for (const SwitchingMode mode :
-             {SwitchingMode::CutThrough,
-              SwitchingMode::StoreAndForward}) {
-            const CutThroughResult &low = results[next++];
-            const CutThroughResult &mid = results[next++];
-            const CutThroughResult &high = results[next++];
-            const CutThroughResult &sat = results[next++];
+    for (int b = 0; b < 2; ++b) {
+        const BufferType type = b == 0 ? BufferType::Fifo
+                                       : BufferType::Damq;
+        for (int m = 0; m < 2; ++m) {
+            const Switching mode = modes[m];
+            const NetworkResult &low = results[next++];
+            const NetworkResult &mid = results[next++];
+            const NetworkResult &high = results[next++];
+            const NetworkResult &sat = results[next++];
+            const bool vct = mode == Switching::VirtualCutThrough;
+
+            // Every packet crosses `stages` links after injection,
+            // each with one head send from a switch buffer.
+            const double cut =
+                static_cast<double>(mid.window.headsCutThrough) /
+                static_cast<double>(mid.window.delivered * stages);
+            mid_latency[b][m] = clocks(mid.latencyClocks.mean());
+            if (vct)
+                cut_fraction[b] = cut;
+
+            const double floor = vct ? vct_floor : snf_floor;
+            if (clocks(low.latencyClocks.min()) != floor)
+                failures.push_back(detail::concat(
+                    bufferTypeName(type), "/", switchingName(mode),
+                    " unloaded floor ",
+                    clocks(low.latencyClocks.min()),
+                    " clocks != closed form ", floor));
 
             table.startRow();
             table.addCell(bufferTypeName(type));
-            table.addCell(switchingModeName(mode));
-            table.addCell(formatFixed(low.latencyClocks.mean(), 1));
-            table.addCell(formatFixed(mid.latencyClocks.mean(), 1));
-            table.addCell(formatFixed(high.latencyClocks.mean(), 1));
+            table.addCell(switchingName(mode));
+            table.addCell(formatFixed(clocks(low.latencyClocks.mean()),
+                                      1));
+            table.addCell(formatFixed(mid_latency[b][m], 1));
             table.addCell(
-                mode == SwitchingMode::CutThrough
-                    ? formatFixed(mid.cutThroughFraction * 100, 1)
-                    : std::string("-"));
-            table.addCell(formatFixed(sat.deliveredLoad, 3));
+                formatFixed(clocks(high.latencyClocks.mean()), 1));
+            table.addCell(vct ? formatFixed(cut * 100, 1)
+                              : std::string("-"));
+            table.addCell(formatFixed(deliveredLoad(sat), 3));
         }
+        if (mid_latency[b][0] >= mid_latency[b][1])
+            failures.push_back(detail::concat(
+                bufferTypeName(type),
+                ": cut-through is not faster than store-and-forward "
+                "at 0.30"));
     }
+    if (cut_fraction[1] <= cut_fraction[0])
+        failures.push_back("DAMQ does not cut through more often "
+                           "than FIFO at 0.30");
+
     std::cout << table.render()
-              << "\nReference points: unloaded VCT floor = 3R + W = "
-                 "20 clocks; unloaded S&F floor =\n4W = 32 clocks "
-                 "(routing overlaps reception).  The synchronized "
-                 "model of Tables 4-6\ncharges 36 clocks — close to "
-                 "S&F.  Cut-through helps most at light load, and\n"
-                 "DAMQ cuts through more often than FIFO because a "
-                 "FIFO buffer must be completely\nempty for an "
-                 "arriving packet to overtake it.\n";
-    return 0;
+              << "\nReference points: unloaded VCT floor = S*R + W - 1 "
+                 "= "
+              << vct_floor
+              << " clocks; unloaded S&F floor =\nR + (S-1)*max(W,R) + "
+                 "W - 1 = "
+              << snf_floor
+              << " clocks (routing overlaps reception past the first "
+                 "switch).\nThe synchronized model of Tables 4-6 "
+                 "charges 36 clocks.  Cut-through helps most at\nlight "
+                 "load, and DAMQ cuts through more often than FIFO "
+                 "because an arriving head\nin a FIFO buffer must wait "
+                 "for every packet ahead of it.  The first switch\n"
+                 "receives whole packets from its source, so at most "
+                 "two hops in three can cut through.\n";
+    for (const std::string &f : failures)
+        std::cerr << "ablation_cutthrough: check failed: " << f
+                  << "\n";
+    return failures.empty() ? 0 : 1;
 }

@@ -1,20 +1,21 @@
 /**
  * @file
- * Explore virtual cut-through interactively: run the
- * clock-granularity Omega simulator in both switching modes at a
- * chosen load and compare latency distributions — the experiment
- * the paper's synchronized model (Section 4.2) deliberately
- * skipped, and the behaviour its hardware (Table 1) exists to
- * enable.
+ * Explore virtual cut-through interactively: run the flit-level
+ * Omega network in both switching modes at a chosen load and compare
+ * latency distributions — the experiment the paper's synchronized
+ * model (Section 4.2) deliberately skipped, and the behaviour its
+ * hardware (Table 1) exists to enable.  One engine cycle moves one
+ * flit, so latencies print in clocks.
  *
  *   cutthrough_playground --buffer damq --load 0.3
  */
 
+#include <algorithm>
 #include <iostream>
 
 #include "common/arg_parser.hh"
 #include "common/string_util.hh"
-#include "network/cutthrough_sim.hh"
+#include "network/network_sim.hh"
 #include "runner/sim_flags.hh"
 #include "stats/text_table.hh"
 
@@ -25,55 +26,68 @@ main(int argc, char **argv)
 
     ArgParser args("cutthrough_playground",
                    "Virtual cut-through vs store-and-forward at "
-                   "clock granularity");
+                   "flit granularity");
     args.addOption("buffer", "damq", kBufferTypeChoices);
     args.addOption("load", "0.3",
                    "offered load as a fraction of link capacity");
-    args.addOption("slots", "4", "slots per input buffer");
-    args.addOption("wire", "8", "clocks a packet occupies a wire");
+    args.addOption("slots", "4", "packets per input buffer");
+    args.addOption("wire", "8", "flits (clocks) a packet occupies a wire");
     args.addOption("route", "4", "clocks to route a packet header");
     args.addOption("seed", "1", "random seed");
     args.parse(argc, argv);
 
-    CutThroughConfig cfg;
-    cfg.bufferType = bufferTypeOption(args, "buffer");
-    cfg.offeredLoad = args.getDouble("load");
-    cfg.slotsPerBuffer =
-        static_cast<std::uint32_t>(args.getInt("slots"));
-    cfg.wireClocks = static_cast<std::uint32_t>(args.getInt("wire"));
-    cfg.routeClocks =
+    const auto wire = static_cast<std::uint32_t>(args.getInt("wire"));
+    const auto route =
         static_cast<std::uint32_t>(args.getInt("route"));
+    NetworkConfig cfg;
+    cfg.bufferType = bufferTypeOption(args, "buffer");
+    cfg.flitsPerPacket = wire;
+    cfg.routeCycles = route;
+    cfg.slotsPerBuffer =
+        static_cast<std::uint32_t>(args.getInt("slots")) * wire;
+    cfg.offeredLoad = args.getDouble("load") / wire;
     cfg.common.seed = static_cast<std::uint64_t>(args.getInt("seed"));
     cfg.common.warmupCycles = 10000;
     cfg.common.measureCycles = 60000;
 
+    const std::uint32_t stages = 3; // 64 ports of radix-4 switches
     std::cout << "64x64 Omega, " << bufferTypeName(cfg.bufferType)
-              << " buffers, W=" << cfg.wireClocks
-              << " R=" << cfg.routeClocks << ", offered "
-              << formatFixed(cfg.offeredLoad, 2)
+              << " buffers, W=" << wire << " R=" << route
+              << ", offered " << formatFixed(args.getDouble("load"), 2)
               << " of link capacity\n"
-              << "(unloaded floors: cut-through = 3R+W = "
-              << 3 * cfg.routeClocks + cfg.wireClocks
-              << " clocks, store-and-forward = 4W = "
-              << 4 * cfg.wireClocks << " clocks)\n\n";
+              << "(unloaded floors: cut-through = 3R+W-1 = "
+              << stages * route + wire - 1
+              << " clocks, store-and-forward = R+2max(W,R)+W-1 = "
+              << route + (stages - 1) * std::max(wire, route) + wire - 1
+              << " clocks)\n\n";
 
+    const double clock = static_cast<double>(kClocksPerNetworkCycle);
     TextTable table;
     table.setHeader({"mode", "mean latency", "min", "max",
                      "delivered load", "hops cut through"});
-    for (const SwitchingMode mode :
-         {SwitchingMode::CutThrough,
-          SwitchingMode::StoreAndForward}) {
-        cfg.mode = mode;
-        CutThroughSimulator sim(cfg);
-        const CutThroughResult r = sim.run();
+    for (const Switching mode :
+         {Switching::VirtualCutThrough, Switching::StoreAndForward}) {
+        cfg.switching = mode;
+        NetworkSimulator sim(cfg);
+        const NetworkResult r = sim.run();
+        const double cycles =
+            static_cast<double>(cfg.numPorts) *
+            static_cast<double>(r.measuredCycles);
         table.startRow();
-        table.addCell(switchingModeName(mode));
-        table.addCell(formatFixed(r.latencyClocks.mean(), 1));
-        table.addCell(formatFixed(r.latencyClocks.min(), 0));
-        table.addCell(formatFixed(r.latencyClocks.max(), 0));
-        table.addCell(formatFixed(r.deliveredLoad, 3));
-        table.addCell(formatFixed(r.cutThroughFraction * 100, 1) +
-                      "%");
+        table.addCell(switchingName(mode));
+        table.addCell(formatFixed(r.latencyClocks.mean() / clock, 1));
+        table.addCell(formatFixed(r.latencyClocks.min() / clock, 0));
+        table.addCell(formatFixed(r.latencyClocks.max() / clock, 0));
+        table.addCell(formatFixed(
+            static_cast<double>(r.window.deliveredFlits) / cycles, 3));
+        table.addCell(
+            formatFixed(100.0 *
+                            static_cast<double>(
+                                r.window.headsCutThrough) /
+                            static_cast<double>(r.window.delivered *
+                                                stages),
+                        1) +
+            "%");
     }
     std::cout << table.render()
               << "\nTry raising --load toward 1.0: the cut-through "

@@ -11,16 +11,19 @@ namespace {
 constexpr EnumName<Switching> kSwitchingNames[] = {
     {Switching::PacketSync, "packet-sync"},
     {Switching::StoreAndForward, "store-and-forward"},
-    {Switching::CutThrough, "cut-through"},
     {Switching::Wormhole, "wormhole"},
     {Switching::VirtualCutThrough, "vct"},
     {Switching::PacketSync, "packet"},
-    {Switching::CutThrough, "cutthrough"},
+    {Switching::VirtualCutThrough, "cut-through"},
+    {Switching::VirtualCutThrough, "cutthrough"},
     {Switching::VirtualCutThrough, "virtual-cut-through"},
 };
 
-/** Whole-packet transfers: admission needs the full length. */
-class PacketGranularScheme final : public FlowControlScheme
+/**
+ * Whole-packet reservation: packet-sync, store-and-forward and VCT
+ * all admit a head only with the full packet length downstream.
+ */
+class WholePacketScheme final : public FlowControlScheme
 {
   public:
     using FlowControlScheme::FlowControlScheme;
@@ -46,21 +49,6 @@ class WormholeScheme final : public FlowControlScheme
     }
 
     bool reservesWholePacket() const override { return false; }
-};
-
-/** VCT: a head flit needs the whole packet's space downstream. */
-class VirtualCutThroughScheme final : public FlowControlScheme
-{
-  public:
-    using FlowControlScheme::FlowControlScheme;
-
-    std::uint32_t headSlotsNeeded(
-        std::uint32_t length_slots) const override
-    {
-        return length_slots;
-    }
-
-    bool reservesWholePacket() const override { return true; }
 };
 
 } // namespace
@@ -95,15 +83,15 @@ FlowControlScheme::make(Switching mode, FlowControl fc)
             return std::unique_ptr<FlowControlScheme>(
                 new WormholeScheme(mode, fc));
         return std::unique_ptr<FlowControlScheme>(
-            new VirtualCutThroughScheme(mode, fc));
+            new WholePacketScheme(mode, fc));
     }
     if (fc == FlowControl::Credit || fc == FlowControl::OnOff)
         damq_fatal("the ", flowControlName(fc), " protocol is "
                    "flit-level back-pressure; ", switchingName(mode),
                    " switching moves whole packets (use blocking or "
-                   "discarding, or switch to wormhole/vct)");
+                   "discarding, or switch to a flit-level mode)");
     return std::unique_ptr<FlowControlScheme>(
-        new PacketGranularScheme(mode, fc));
+        new WholePacketScheme(mode, fc));
 }
 
 } // namespace damq

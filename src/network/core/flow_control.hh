@@ -6,28 +6,23 @@
  * allocation decisions the engines used to hard-code per mode.
  *
  * Before this redesign the granularity knobs were scattered: the
- * SyncEngine's synchronized whole-packet transfer was implicit, the
- * cut-through simulator kept its own two-value SwitchingMode enum,
- * and FlowControl only distinguished discard from block.  The
- * flit-level modes (wormhole, virtual cut-through) would have added
- * a third ad-hoc axis, so the three collapse into:
+ * SyncEngine's synchronized whole-packet transfer was implicit, and
+ * FlowControl only distinguished discard from block.  They collapse
+ * into:
  *
  *  - Switching — *what crosses a link per transfer*: a whole packet
- *    (packet-synchronized / store-and-forward / cut-through) or one
- *    flit per cycle (wormhole / virtual-cut-through);
+ *    per network cycle (packet-synchronized) or one flit per cycle
+ *    (store-and-forward / wormhole / virtual-cut-through);
  *  - FlowControl — *how a full receiver pushes back*: discard,
  *    block, per-hop credits, or an on/off wire (sim_types.hh);
  *  - FlowControlScheme — the validated combination, answering the
  *    questions an engine's advance path asks: is this flit-level,
  *    how many downstream slots must a head flit secure
  *    (headSlotsNeeded: 1 under wormhole — the packet may spread
- *    over several switches — the whole packet under VCT, which
- *    never stalls a packet across a link boundary for space), and
- *    whether sends are credit-gated.
- *
- * The legacy cut-through SwitchingMode is now an alias of Switching
- * restricted to its two historical values, so existing call sites
- * compile — and print — unchanged.
+ *    over several switches — the whole packet under VCT and
+ *    store-and-forward, which never stall a packet across a link
+ *    boundary for space), whether a head must wait for its own
+ *    tail, and whether sends are credit-gated.
  */
 
 #ifndef DAMQ_NETWORK_CORE_FLOW_CONTROL_HH
@@ -52,16 +47,11 @@ enum class Switching
      */
     PacketSync,
     /**
-     * Whole-packet store-and-forward in the variable-length
-     * cut-through simulator: a packet must be fully buffered before
-     * it competes for the next link.
+     * Flit-level store-and-forward: the head reserves the whole
+     * packet downstream like VCT, but may leave a switch only after
+     * its own tail flit has arrived there.
      */
     StoreAndForward,
-    /**
-     * Packet-granular cut-through in the variable-length simulator:
-     * forwarding may begin one cycle after the header arrives.
-     */
-    CutThrough,
     /**
      * Flit-level wormhole: the head flit advances as soon as one
      * downstream slot is secured; body flits follow one per cycle
@@ -85,12 +75,11 @@ const char *switchingName(Switching mode);
 std::optional<Switching> trySwitchingFromString(
     const std::string &name);
 
-/** Whether @p mode moves flits (wormhole / VCT) rather than packets. */
+/** Whether @p mode moves flits rather than whole packets. */
 inline bool
 flitLevelSwitching(Switching mode)
 {
-    return mode == Switching::Wormhole ||
-           mode == Switching::VirtualCutThrough;
+    return mode != Switching::PacketSync;
 }
 
 /**
@@ -119,7 +108,7 @@ class FlowControlScheme
     /**
      * Downstream slots a head flit must secure before it may cross
      * a link, for a packet of @p length_slots flits.  1 under
-     * wormhole, @p length_slots under VCT and the packet modes.
+     * wormhole, @p length_slots under every other mode.
      *
      * This count is what the engines feed into the buffers'
      * AdmissionPolicy layer (AdmissionRequest::lengthSlots), so a
@@ -132,10 +121,19 @@ class FlowControlScheme
 
     /**
      * Whether a granted head reserves whole-packet space downstream
-     * (true for VCT and the packet-granular modes): once the head
-     * crosses, no flit of the packet can ever stall for space.
+     * (true for every mode but wormhole): once the head crosses, no
+     * flit of the packet can ever stall for space.
      */
     virtual bool reservesWholePacket() const = 0;
+
+    /**
+     * Whether a head may leave a switch only after its own tail has
+     * arrived there (store-and-forward).
+     */
+    bool headWaitsForTail() const
+    {
+        return mode == Switching::StoreAndForward;
+    }
 
     /** The switching-mode name ("wormhole", "vct", ...). */
     const char *name() const { return switchingName(mode); }
@@ -144,7 +142,7 @@ class FlowControlScheme
      * Build the scheme for a validated combination.  Fatal on a
      * meaningless pairing — flit switching with Discarding (flits
      * of one packet must not be dropped independently), or credit /
-     * on-off protocols under packet-granular switching.  As a
+     * on-off protocols under packet-synchronized switching.  As a
      * deployment convenience, flit switching with the packet-mode
      * default Blocking upgrades to Credit (blocking *is* the
      * credit-stalled state at flit granularity).

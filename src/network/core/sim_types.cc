@@ -45,6 +45,8 @@ NetworkCounters::operator-(const NetworkCounters &rhs) const
     out.discardedInternal = discardedInternal - rhs.discardedInternal;
     out.misrouted = misrouted - rhs.misrouted;
     out.faultDropped = faultDropped - rhs.faultDropped;
+    out.deliveredFlits = deliveredFlits - rhs.deliveredFlits;
+    out.headsCutThrough = headsCutThrough - rhs.headsCutThrough;
     return out;
 }
 

@@ -56,6 +56,9 @@ struct NetworkCounters
     std::uint64_t misrouted = 0;        ///< delivered to wrong sink (bug!)
     std::uint64_t faultDropped = 0;     ///< removed by injected faults
                                         ///  (drops + detected corruptions)
+    std::uint64_t deliveredFlits = 0;   ///< flits of delivered packets
+    std::uint64_t headsCutThrough = 0;  ///< head flits sent on before
+                                        ///  their tail had arrived
 
     /** Element-wise difference (for measurement windows). */
     NetworkCounters operator-(const NetworkCounters &rhs) const;

@@ -147,6 +147,31 @@ SyncEngine::SyncEngine(const Topology &topology,
 
     buildChannelTables();
 
+    // Knobs only the flit path honours are rejected under
+    // packet-sync rather than silently ignored.
+    const LengthDistribution &lengths = cfg.common.workload.lengths;
+    drawLengths = lengths.variable();
+    if (!drawLengths && lengths.maxLength() != 1)
+        damq_fatal("a packet-length distribution is drawn from only "
+                   "when it has more than one length; set a single "
+                   "length through flitsPerPacket");
+    if (cfg.routeCycles < 1)
+        damq_fatal("routeCycles must be at least 1");
+    if (cfg.switching == Switching::PacketSync) {
+        if (cfg.routeCycles != 1)
+            damq_fatal("routeCycles ", cfg.routeCycles,
+                       " needs flit-level switching: packet-sync "
+                       "moves every packet one hop per cycle");
+        if (drawLengths)
+            damq_fatal("variable packet lengths need flit-level "
+                       "switching: packet-sync packets are one slot");
+    }
+    if (drawLengths &&
+        cfg.common.workload.kind == WorkloadKind::Trace)
+        damq_fatal("the trace workload cannot replay variable packet "
+                   "lengths: its 'cycle src dest' lines carry no "
+                   "length, so the run would not reproduce");
+
     // The flow-control scheme validates the switching × protocol
     // combination (and upgrades Blocking to Credit at flit
     // granularity, where "blocked" is precisely "out of credits").
@@ -1239,10 +1264,13 @@ SyncEngine::phaseInject()
         pkt.dest = traffic.destinationFor(src, rng);
         pkt.kind = traffic.stagedKind();
         // At flit granularity a packet is flitsPerPacket flits of
-        // one slot each; the source NI assembles whole packets, so
-        // injection stays packet-granular (flitsArrived = 0 is the
-        // "all arrived" sentinel).
-        pkt.lengthSlots = flit ? cfg.flitsPerPacket : 1;
+        // one slot each, or a drawn length; the source NI assembles
+        // whole packets, so injection stays packet-granular
+        // (flitsArrived = 0 is the "all arrived" sentinel).
+        if (drawLengths)
+            pkt.lengthSlots = cfg.common.workload.lengths.sample(rng);
+        else
+            pkt.lengthSlots = flit ? cfg.flitsPerPacket : 1;
         pkt.generatedAt = currentCycle;
         pkt.seq = nextSeq[src]++;
         // Deterministic class assignment — no RNG draw (draw order
@@ -1333,6 +1361,7 @@ SyncEngine::tryInject(NodeId src, Packet pkt, ShardScratch &sc)
     }
     pkt.inPort = entry.port; // injected packets start on VC 0
     pkt.injectedAt = currentCycle;
+    pkt.hopArrivedAt = static_cast<std::uint32_t>(currentCycle);
     SwitchUnit &first = *switches[entry.switchId];
     if (!first.canAcceptClass(entry.port, pkt.outPort,
                               pkt.lengthSlots, pkt.trafficClass))
@@ -1361,6 +1390,7 @@ SyncEngine::deliver(const Packet &pkt, NodeId sink)
                    " — routing is broken");
     }
     ++counters.delivered;
+    counters.deliveredFlits += pkt.lengthSlots;
     if (telemetry) {
         if (obs::PacketTracer *tr = telemetry->trace())
             tr->asyncEnd("pkt", "pkt", pkt.id, currentCycle,

@@ -141,12 +141,31 @@ struct SyncConfig
     /**
      * Switching granularity.  PacketSync (the default) is the
      * paper's synchronized whole-packet transfer and leaves every
-     * historical result byte-identical.  Wormhole and
-     * VirtualCutThrough move one flit per link per cycle under
-     * credit (or on-off) flow control; both require input-buffered
-     * placement and are validated by FlowControlScheme::make.
+     * historical result byte-identical.  StoreAndForward, Wormhole
+     * and VirtualCutThrough move one flit per link per cycle under
+     * credit (or on-off) flow control; all three require
+     * input-buffered placement and are validated by
+     * FlowControlScheme::make.
+     *
+     * Unloaded latency at flit granularity, for a packet of W flits
+     * crossing S links (S = stages on the Omega network) with R =
+     * routeCycles, counted from whole-packet injection to tail
+     * delivery:
+     *   - VCT and wormhole: S*R + W - 1 cycles;
+     *   - store-and-forward: R + (S-1)*max(W, R) + W - 1 cycles
+     *     (the first switch holds the whole packet from injection).
      */
     Switching switching = Switching::PacketSync;
+
+    /**
+     * Per-hop head turn-around R (>= 1) at flit granularity: a head
+     * flit may leave a switch only R cycles after it arrived there
+     * (the ComCoBB chip routes a header in 4 clocks, PAPER.md
+     * Table 1).  1, the default, lets a head leave the cycle after
+     * it arrives.  Packet-sync switching fixes the per-hop time at
+     * one cycle and rejects any other value.
+     */
+    std::uint32_t routeCycles = 1;
 
     /**
      * Buffer-sharing (admission) policy applied to every input
@@ -164,7 +183,8 @@ struct SyncConfig
     std::uint32_t trafficClasses = 1;
 
     /** Flits per packet at flit granularity (= Packet::lengthSlots;
-     *  ignored in PacketSync mode, where packets stay one slot). */
+     *  ignored in PacketSync mode, where packets stay one slot, and
+     *  when common.workload.lengths draws a length per packet). */
     std::uint32_t flitsPerPacket = 4;
     std::string traffic = "uniform"; ///< pattern name (see makeTraffic)
     double hotSpotFraction = 0.05;   ///< used when traffic == "hotspot"
@@ -561,6 +581,8 @@ class SyncEngine final : public SimEngine
         std::vector<VcId> tailVcs;         ///< wire VC per tail grant
         std::vector<std::uint32_t> reads;  ///< per-input read budget
         std::uint64_t issued = 0; ///< credits consumed this cycle
+        std::uint64_t cutThrough = 0; ///< heads sent before their tail
+                                      ///< arrived, this cycle
     };
 
     /** All flit-mode state; null in PacketSync mode, so the packet
@@ -585,6 +607,9 @@ class SyncEngine final : public SimEngine
         std::vector<LinkId> feedLink; ///< sw*ports+in -> feeder link
         std::vector<FlitShard> shard;
         std::vector<std::uint64_t> sends; ///< per-switch flit motion
+        /** All ones under store-and-forward, else zero: a head waits
+         *  while arrivedFlits() < (lengthSlots & tailGate). */
+        std::uint32_t tailGate = 0;
         std::uint64_t creditsIssued = 0;
         std::uint64_t creditsReturned = 0;
     };
@@ -874,6 +899,9 @@ class SyncEngine final : public SimEngine
 
     /** Cycles the batch drain-and-measure schedule actually ran. */
     Cycle batchCycles = 0;
+
+    /** Whether I1 draws each packet's length (variable lengths). */
+    bool drawLengths = false;
 
     RunningStats hopStats;
     RunningStats sourceQueueSamples;

@@ -1,7 +1,14 @@
 /**
  * @file
- * The flit-granular advance of SyncEngine: wormhole and virtual
- * cut-through switching under credit (or on-off) flow control.
+ * The flit-granular advance of SyncEngine: store-and-forward,
+ * wormhole and virtual cut-through switching under credit (or
+ * on-off) flow control.
+ *
+ * The three differ only at the head grant: wormhole secures one
+ * downstream slot, the other two the whole packet, and
+ * store-and-forward also holds the head until its own tail has
+ * arrived.  Every mode waits routeCycles (R) cycles after a head
+ * arrives before it may leave — the per-hop route turn-around.
  *
  * One flit crosses one link per cycle.  A packet earns a *virtual
  * channel* of a link through the ordinary crossbar arbiter (head
@@ -94,10 +101,12 @@ SyncEngine::setupFlitState()
                    "packet-sync switching)");
     // Every VC must be able to admit a head even when the others
     // are saturated up to their per-VC credit caps — that head-room
-    // is one downstream slot under wormhole but a whole packet
-    // under VCT, so the buffer must fit one head's worth per VC.
-    const std::uint32_t headroom =
-        scheme->headSlotsNeeded(cfg.flitsPerPacket);
+    // is one downstream slot under wormhole but a whole (longest)
+    // packet otherwise, so the buffer must fit one head's worth per
+    // VC.
+    const std::uint32_t headroom = scheme->headSlotsNeeded(
+        drawLengths ? cfg.common.workload.lengths.maxLength()
+                    : cfg.flitsPerPacket);
     if (cfg.slotsPerBuffer <
         static_cast<std::uint32_t>(cfg.common.vcs) * headroom)
         damq_fatal(switchingName(cfg.switching),
@@ -107,6 +116,7 @@ SyncEngine::setupFlitState()
                    " head slots), got ", cfg.slotsPerBuffer);
 
     flit = std::make_unique<FlitState>();
+    flit->tailGate = scheme->headWaitsForTail() ? ~std::uint32_t(0) : 0;
     const std::uint32_t links = topo.numLinks();
     const std::uint32_t n = topo.numSwitches();
     flit->streams.resize(static_cast<std::size_t>(links) * numVcs);
@@ -177,6 +187,13 @@ bool
 SyncEngine::flitCanSendHead(SwitchId sw, QueueKey out_key,
                             const Packet &pkt)
 {
+    // Store-and-forward: the head waits for its own tail.
+    if (pkt.arrivedFlits() < (pkt.lengthSlots & flit->tailGate))
+        return false;
+    // Per-hop turn-around: the head leaves R cycles after arriving.
+    if (static_cast<std::uint32_t>(currentCycle) - pkt.hopArrivedAt <
+        cfg.routeCycles)
+        return false;
     const LinkId link = sw * portCount + out_key.out;
     // A wire already claimed by a continuation this cycle carries
     // no second flit; a different VC's *stalled* stream does not
@@ -386,6 +403,7 @@ SyncEngine::flitPop(unsigned shard)
     fs.moves.clear();
     fs.returns.clear();
     fs.issued = 0;
+    fs.cutThrough = 0;
     for (SwitchId sw = plan.begin[shard]; sw < plan.begin[shard + 1];
          ++sw) {
         fs.tailGrants.clear();
@@ -445,6 +463,8 @@ SyncEngine::flitPop(unsigned shard)
                 st.input = g.input;
                 st.srcKey = g.queue();
                 st.linkVc = link_vc;
+                if (!head->fullyArrived())
+                    ++fs.cutThrough;
                 Packet copy = *head;
                 const bool shrank = buf.flitSent(g.queue());
                 if (shrank)
@@ -508,6 +528,8 @@ SyncEngine::flitExchange(unsigned shard)
                 ++pkt.hops;
                 pkt.flitsArrived = 1;
                 pkt.flitsSent = 0;
+                pkt.hopArrivedAt =
+                    static_cast<std::uint32_t>(currentCycle);
                 st.dstKey = QueueKey{pkt.outPort, pkt.vc};
                 // Credit flow control: the head was admitted by
                 // flitCanSendHead at grant time, so the commit
@@ -552,6 +574,7 @@ SyncEngine::flitFinishExchange()
                 deliver(m.pkt, chanSink[m.link]);
         }
         flit->creditsIssued += fs.issued;
+        counters.headsCutThrough += fs.cutThrough;
         for (const CreditReturn &r : fs.returns) {
             std::int32_t &lc = flit->linkCredits[r.link];
             std::int32_t &vcc =

@@ -46,6 +46,53 @@ tryWorkloadKindFromString(const std::string &name)
     return std::nullopt;
 }
 
+std::uint32_t
+LengthDistribution::sample(Random &rng) const
+{
+    damq_assert(!weights.empty(), "empty length distribution");
+    double total = 0.0;
+    for (const double w : weights)
+        total += w;
+    damq_assert(total > 0.0, "length distribution has no mass");
+    double draw = rng.uniform() * total;
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+        draw -= weights[i];
+        if (draw < 0.0)
+            return static_cast<std::uint32_t>(i + 1);
+    }
+    return static_cast<std::uint32_t>(weights.size());
+}
+
+double
+LengthDistribution::mean() const
+{
+    double total = 0.0;
+    double weighted = 0.0;
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+        total += weights[i];
+        weighted += weights[i] * static_cast<double>(i + 1);
+    }
+    damq_assert(total > 0.0, "length distribution has no mass");
+    return weighted / total;
+}
+
+std::uint32_t
+LengthDistribution::maxLength() const
+{
+    for (std::size_t i = weights.size(); i > 0; --i) {
+        if (weights[i - 1] > 0.0)
+            return static_cast<std::uint32_t>(i);
+    }
+    return 0;
+}
+
+bool
+LengthDistribution::variable() const
+{
+    return std::count_if(weights.begin(), weights.end(),
+                         [](double w) { return w > 0.0; }) > 1;
+}
+
 namespace {
 
 /** Open-loop Bernoulli at the offered load: one draw per call. */

@@ -75,6 +75,29 @@ std::optional<WorkloadKind> tryWorkloadKindFromString(
     const std::string &name);
 
 /**
+ * Discrete packet-length distribution in flits (length -> relative
+ * weight).  The DAMQ buffer was designed for variable-length packets
+ * (1-32 bytes in 8-byte slots); the paper evaluates only fixed ones.
+ */
+struct LengthDistribution
+{
+    /** weights[i] is the relative probability of length i+1. */
+    std::vector<double> weights{1.0};
+
+    /** Draw a length using @p rng. */
+    std::uint32_t sample(Random &rng) const;
+
+    /** Expected length. */
+    double mean() const;
+
+    /** Longest length with non-zero weight. */
+    std::uint32_t maxLength() const;
+
+    /** Whether more than one length has non-zero weight. */
+    bool variable() const;
+};
+
+/**
  * Workload selection and parameters, carried in SimCommonConfig so
  * every simulator front-end exposes the same `--workload` surface.
  * The offered load itself stays a per-simulator config (it
@@ -107,6 +130,16 @@ struct WorkloadConfig
 
     /** Trace file to replay under the trace workload. */
     std::string traceFile;
+
+    /**
+     * Packet lengths in flits.  Only a distribution with more than
+     * one length is drawn from — one draw per generated packet, on
+     * the coordinator in phase I1, after the destination draw — and
+     * it needs flit-level switching.  The single-length default
+     * makes no draw; packets then carry the simulator's
+     * flitsPerPacket.
+     */
+    LengthDistribution lengths;
 };
 
 /** One injection event of a recorded (or hand-written) trace. */

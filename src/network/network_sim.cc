@@ -16,6 +16,7 @@ NetworkSimulator::syncConfigOf(const NetworkConfig &config)
     sync.staleThreshold = config.staleThreshold;
     sync.switching = config.switching;
     sync.flitsPerPacket = config.flitsPerPacket;
+    sync.routeCycles = config.routeCycles;
     sync.sharing = config.sharing;
     sync.trafficClasses = config.trafficClasses;
     sync.traffic = config.traffic;

@@ -63,12 +63,17 @@ struct NetworkConfig
     ArbitrationPolicy arbitration = ArbitrationPolicy::Smart;
     std::uint32_t staleThreshold = 8;
 
-    /** PacketSync (historical default), or Wormhole / VCT for
-     *  flit-level switching under credit flow control. */
+    /** PacketSync (historical default), or store-and-forward /
+     *  wormhole / VCT for flit-level switching under credit flow
+     *  control (one flit crosses a link per network cycle). */
     Switching switching = Switching::PacketSync;
 
     /** Flits per packet in the flit-level modes. */
     std::uint32_t flitsPerPacket = 4;
+
+    /** Per-hop head turn-around R in cycles (flit-level modes;
+     *  see core::SyncConfig::routeCycles). */
+    std::uint32_t routeCycles = 1;
 
     /** Buffer-sharing (admission) policy + VOQ private slots. */
     SharingPolicyConfig sharing;

@@ -11,22 +11,13 @@ template std::vector<SweepPoint> sweepLoads(
     const MeshConfig &, const std::vector<double> &);
 template std::vector<SweepPoint> sweepLoads(
     const TorusConfig &, const std::vector<double> &);
-template std::vector<SweepPoint> sweepLoads(
-    const CutThroughConfig &, const std::vector<double> &);
-template std::vector<SweepPoint> sweepLoads(
-    const VarLenConfig &, const std::vector<double> &);
 
 template SaturationSummary measureSaturation(const NetworkConfig &);
 template SaturationSummary measureSaturation(const MeshConfig &);
 template SaturationSummary measureSaturation(const TorusConfig &);
-template SaturationSummary measureSaturation(
-    const CutThroughConfig &);
-template SaturationSummary measureSaturation(const VarLenConfig &);
 
 template double latencyAtLoad(const NetworkConfig &, double);
 template double latencyAtLoad(const MeshConfig &, double);
 template double latencyAtLoad(const TorusConfig &, double);
-template double latencyAtLoad(const CutThroughConfig &, double);
-template double latencyAtLoad(const VarLenConfig &, double);
 
 } // namespace damq

@@ -15,11 +15,10 @@
  * The sweep machinery is generic: SaturationTraits<Config> maps a
  * simulator's config/result pair onto the load knob and the three
  * curve quantities, so the same sweepLoads/measureSaturation/
- * latencyAtLoad functions drive the Omega network, the mesh, the
- * torus, the clock-granularity cut-through model, and the
- * variable-length model.  Latency units follow the simulator
- * (clocks for the Omega-network models, cycles for mesh/torus);
- * within one config family the curve is self-consistent.
+ * latencyAtLoad functions drive the Omega network, the mesh and
+ * the torus.  Latency units follow the simulator (clocks for the
+ * Omega network, cycles for mesh/torus); within one config family
+ * the curve is self-consistent.
  */
 
 #ifndef DAMQ_NETWORK_SATURATION_HH
@@ -27,11 +26,9 @@
 
 #include <vector>
 
-#include "network/cutthrough_sim.hh"
 #include "network/mesh_sim.hh"
 #include "network/network_sim.hh"
 #include "network/torus_sim.hh"
-#include "network/varlen_sim.hh"
 
 namespace damq {
 
@@ -130,53 +127,6 @@ struct SaturationTraits<TorusConfig>
     }
 };
 
-template <>
-struct SaturationTraits<CutThroughConfig>
-{
-    using Simulator = CutThroughSimulator;
-    static void setLoad(CutThroughConfig &c, double load)
-    {
-        c.offeredLoad = load;
-    }
-    static double throughput(const CutThroughResult &r)
-    {
-        return r.deliveredLoad;
-    }
-    static const RunningStats &latency(const CutThroughResult &r)
-    {
-        return r.latencyClocks;
-    }
-    static double discardFraction(const CutThroughResult &r)
-    {
-        return r.generated == 0
-                   ? 0.0
-                   : static_cast<double>(r.discarded) /
-                         static_cast<double>(r.generated);
-    }
-};
-
-template <>
-struct SaturationTraits<VarLenConfig>
-{
-    using Simulator = VarLenNetworkSimulator;
-    static void setLoad(VarLenConfig &c, double load)
-    {
-        c.offeredSlotLoad = load;
-    }
-    static double throughput(const VarLenResult &r)
-    {
-        return r.deliveredSlotThroughput;
-    }
-    static const RunningStats &latency(const VarLenResult &r)
-    {
-        return r.latencyClocks;
-    }
-    static double discardFraction(const VarLenResult &)
-    {
-        return 0.0; // blocking only: nothing is ever discarded
-    }
-};
-
 /**
  * Run @p config once per load in @p loads (same seed each time) and
  * collect the latency/throughput curve.
@@ -241,10 +191,6 @@ extern template std::vector<SweepPoint> sweepLoads(
     const MeshConfig &, const std::vector<double> &);
 extern template std::vector<SweepPoint> sweepLoads(
     const TorusConfig &, const std::vector<double> &);
-extern template std::vector<SweepPoint> sweepLoads(
-    const CutThroughConfig &, const std::vector<double> &);
-extern template std::vector<SweepPoint> sweepLoads(
-    const VarLenConfig &, const std::vector<double> &);
 
 extern template SaturationSummary measureSaturation(
     const NetworkConfig &);
@@ -252,17 +198,10 @@ extern template SaturationSummary measureSaturation(
     const MeshConfig &);
 extern template SaturationSummary measureSaturation(
     const TorusConfig &);
-extern template SaturationSummary measureSaturation(
-    const CutThroughConfig &);
-extern template SaturationSummary measureSaturation(
-    const VarLenConfig &);
 
 extern template double latencyAtLoad(const NetworkConfig &, double);
 extern template double latencyAtLoad(const MeshConfig &, double);
 extern template double latencyAtLoad(const TorusConfig &, double);
-extern template double latencyAtLoad(const CutThroughConfig &,
-                                     double);
-extern template double latencyAtLoad(const VarLenConfig &, double);
 
 } // namespace damq
 

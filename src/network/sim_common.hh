@@ -2,20 +2,13 @@
  * @file
  * Run-harness knobs shared by every network-level simulator.
  *
- * The four simulators (synchronized Omega, 2D mesh, clock-accurate
- * cut-through, variable-length) differ in topology and timing model
- * but share the same experimental harness: a seeded PRNG, a
+ * The simulators (Omega, 2D mesh, torus) differ in topology but
+ * share the same experimental harness: a seeded PRNG, a
  * warmup/measure schedule, an optional fault plan with periodic
  * invariant audits and a deadlock watchdog, and optional telemetry.
  * Those knobs live here, embedded by value as `common` in each
  * simulator's config struct, so a flag like --seed or --trace means
  * exactly the same thing to every front-end.
- *
- * Not every simulator honors every field: the cut-through simulator
- * (which counts *clocks*, not network cycles — its warmup/measure
- * values are clock counts) has no watchdog, and the variable-length
- * simulator models neither faults nor audits.  Ignored fields are
- * simply unused; setting them is harmless.
  */
 
 #ifndef DAMQ_NETWORK_SIM_COMMON_HH
@@ -38,10 +31,10 @@ struct SimCommonConfig
     /** Master PRNG seed (traffic; the fault plan seeds separately). */
     std::uint64_t seed = 1;
 
-    /** Cycles (clocks, for the cut-through sim) before measuring. */
+    /** Cycles before measuring. */
     Cycle warmupCycles = 1000;
 
-    /** Cycles (clocks, for the cut-through sim) measured. */
+    /** Cycles measured. */
     Cycle measureCycles = 10000;
 
     /**
@@ -118,20 +111,6 @@ struct SimCommonConfig
      */
     obs::TelemetryConfig telemetry;
 };
-
-/**
- * Defaults with a different warmup/measure schedule — for simulators
- * whose time base (clocks, long-transfer cycles) needs a different
- * window than the synchronized default.
- */
-inline SimCommonConfig
-simCommonWithSchedule(Cycle warmup, Cycle measure)
-{
-    SimCommonConfig common;
-    common.warmupCycles = warmup;
-    common.measureCycles = measure;
-    return common;
-}
 
 } // namespace damq
 

@@ -38,8 +38,8 @@ DamqReservedBuffer::fillAdmissionState(QueueKey key,
             ++reserved_for_others;
     }
     st.poolFree = inner.freeSlotCount();
-    // Reservations made through the base-class API (varlen
-    // transfers) also hold space.
+    // Reservations made through the base-class API also hold
+    // space.
     st.reservedCharge = reservedSlotsTotal();
     st.guaranteeSlots = reserved_for_others;
     st.queueSlots = inner.queueSlotsIn(key);

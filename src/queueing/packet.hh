@@ -135,6 +135,16 @@ struct Packet
     std::uint32_t flitsSent = 0;
 
     /**
+     * Network cycle (low 32 bits) at which the head flit entered
+     * the current buffer, by injection or across a link.  The
+     * flit-level per-hop turn-around R reads it: a head may leave
+     * only routeCycles cycles after it arrived.  Per-hop transit
+     * state, excluded from the sealed header, and placed in the
+     * padding before generatedAt so the Packet layout is unchanged.
+     */
+    std::uint32_t hopArrivedAt = 0;
+
+    /**
      * Buffer slots this record occupies *right now*.  Equal to
      * lengthSlots for fully resident packets (the packet-mode
      * invariant), fewer for a partially arrived or partially
@@ -193,6 +203,11 @@ struct Packet
     /** True iff this record refers to a real packet. */
     bool valid() const { return id != kInvalidPacket; }
 };
+
+// Packets are copied through every buffer push/pop; the per-hop
+// fields above live in padding, and a larger record would slow the
+// whole simulator.
+static_assert(sizeof(Packet) == 80, "Packet outgrew its 80 bytes");
 
 /** Checksum over the immutable header fields of @p pkt. */
 inline std::uint32_t

@@ -26,20 +26,4 @@ atLoad(const TorusConfig &base, double load)
     return cfg;
 }
 
-CutThroughConfig
-atLoad(const CutThroughConfig &base, double load)
-{
-    CutThroughConfig cfg = base;
-    cfg.offeredLoad = load;
-    return cfg;
-}
-
-VarLenConfig
-atLoad(const VarLenConfig &base, double load)
-{
-    VarLenConfig cfg = base;
-    cfg.offeredSlotLoad = load;
-    return cfg;
-}
-
 } // namespace damq

@@ -12,7 +12,7 @@
  * from its own config; nothing is shared, which is what makes the
  * parallel run bit-identical to the sequential one.
  *
- * One template serves all four simulators: SimSweepTraits maps a
+ * One template serves all three simulators: SimSweepTraits maps a
  * config type to its simulator and result types, so a bench for
  * any of them writes the same three lines (build tasks, run,
  * consume).  When a task's config enables telemetry, the adapter
@@ -27,11 +27,9 @@
 #include <vector>
 
 #include "common/string_util.hh"
-#include "network/cutthrough_sim.hh"
 #include "network/mesh_sim.hh"
 #include "network/network_sim.hh"
 #include "network/torus_sim.hh"
-#include "network/varlen_sim.hh"
 #include "runner/sim_flags.hh"
 #include "runner/sweep_runner.hh"
 
@@ -48,8 +46,6 @@ struct SimTask
 using NetworkTask = SimTask<NetworkConfig>;
 using MeshTask = SimTask<MeshConfig>;
 using TorusTask = SimTask<TorusConfig>;
-using CutThroughTask = SimTask<CutThroughConfig>;
-using VarLenTask = SimTask<VarLenConfig>;
 
 /** Config type -> simulator/result types, for runSimSweep(). */
 template <typename Config>
@@ -82,28 +78,6 @@ struct SimSweepTraits<TorusConfig>
 {
     using Simulator = TorusSimulator;
     using Result = TorusResult;
-    static std::uint64_t cycles(const Result &r)
-    {
-        return r.measuredCycles;
-    }
-};
-
-template <>
-struct SimSweepTraits<CutThroughConfig>
-{
-    using Simulator = CutThroughSimulator;
-    using Result = CutThroughResult;
-    static std::uint64_t cycles(const Result &r)
-    {
-        return r.measuredClocks;
-    }
-};
-
-template <>
-struct SimSweepTraits<VarLenConfig>
-{
-    using Simulator = VarLenNetworkSimulator;
-    using Result = VarLenResult;
     static std::uint64_t cycles(const Result &r)
     {
         return r.measuredCycles;
@@ -161,12 +135,6 @@ MeshConfig atLoad(const MeshConfig &base, double load);
 
 /** Shorthand: @p base with offeredLoad set to @p load. */
 TorusConfig atLoad(const TorusConfig &base, double load);
-
-/** Shorthand: @p base with offeredLoad set to @p load. */
-CutThroughConfig atLoad(const CutThroughConfig &base, double load);
-
-/** Shorthand: @p base with offeredSlotLoad set to @p load. */
-VarLenConfig atLoad(const VarLenConfig &base, double load);
 
 /** The labels of @p tasks, in order (for the perf sidecar). */
 template <typename Config>

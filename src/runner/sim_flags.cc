@@ -15,8 +15,8 @@ const char kFlowControlChoices[] =
     "blocking | discarding | credit | on-off";
 const char kArbitrationChoices[] = "smart | dumb";
 const char kSwitchingChoices[] =
-    "packet-sync | store-and-forward | cut-through | wormhole | vct";
-const char kSwitchingModeChoices[] = "cut-through | store-and-forward";
+    "packet-sync | store-and-forward | wormhole | vct "
+    "(or: cut-through)";
 const char kVcPolicyChoices[] = "dateline | none";
 const char kRecoveryPolicyChoices[] =
     "none | retransmit | retransmit+reroute (or: reroute)";
@@ -93,13 +93,6 @@ switchingOption(const ArgParser &args, const std::string &name)
                       "switching mode", kSwitchingChoices);
 }
 
-SwitchingMode
-switchingModeOption(const ArgParser &args, const std::string &name)
-{
-    return enumOption(args, name, trySwitchingModeFromString,
-                      "switching mode", kSwitchingModeChoices);
-}
-
 VcPolicy
 vcPolicyOption(const ArgParser &args, const std::string &name)
 {
@@ -151,9 +144,7 @@ addCommonSimFlags(ArgParser &args)
                    "total threads ~ threads x shards, so pick "
                    "threads x shards <= cores");
     args.addOption("seed", "1", "master PRNG seed");
-    args.addOption("warmup", "0",
-                   "override warmup cycles (clocks for the "
-                   "cut-through bench)");
+    args.addOption("warmup", "0", "override warmup cycles");
     args.addOption("measure", "0", "override measured cycles");
     args.addOption("vcs", "0",
                    "override virtual channels per link (>1 needs "
@@ -393,7 +384,7 @@ addSwitchingFlags(ArgParser &args,
     args.addOption("flow-control", flow_control_default,
                    kFlowControlChoices);
     args.addOption("flits-per-packet", "0",
-                   "packet length in flits under wormhole/vct "
+                   "packet length in flits under flit-level "
                    "switching (0 = keep the bench default)");
 }
 

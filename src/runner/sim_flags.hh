@@ -25,7 +25,6 @@
 
 #include "common/arg_parser.hh"
 #include "network/core/flow_control.hh"
-#include "network/cutthrough_sim.hh"
 #include "network/sim_common.hh"
 #include "queueing/buffer_model.hh"
 #include "switchsim/arbiter.hh"
@@ -41,7 +40,7 @@ namespace damq {
  *   --shards N         threads within one synchronized simulation
  *                      (0 = bench default; composes with --threads)
  *   --seed N           master PRNG seed
- *   --warmup N         warmup cycles (clocks, for the cut-through sim)
+ *   --warmup N         warmup cycles
  *   --measure N        measured cycles
  *   --vcs N            virtual channels per link (needs input buffers)
  *   --vc-policy P      VC assignment when vcs > 1 (dateline | none)
@@ -83,8 +82,8 @@ void applyCommonSimFlags(const ArgParser &args,
  * Declare the unified switching surface on @p args:
  *
  *   --switching M        transfer granularity (packet-sync |
- *                        store-and-forward | cut-through |
- *                        wormhole | vct)
+ *                        store-and-forward | wormhole | vct;
+ *                        cut-through parses as vct)
  *   --flow-control P     back-pressure protocol (blocking |
  *                        discarding | credit | on-off)
  *   --flits-per-packet N packet length in flits for the flit-level
@@ -151,7 +150,6 @@ extern const char kPlacementChoices[];     ///< input|central|output
 extern const char kFlowControlChoices[];   ///< blocking|discarding|credit|on-off
 extern const char kArbitrationChoices[];   ///< smart|dumb
 extern const char kSwitchingChoices[];     ///< packet-sync|...|wormhole|vct
-extern const char kSwitchingModeChoices[]; ///< cut-through|store-and-forward
 extern const char kVcPolicyChoices[];      ///< dateline|none
 extern const char kRecoveryPolicyChoices[]; ///< none|retransmit|retransmit+reroute
 extern const char kWorkloadChoices[];      ///< geometric|onoff|mmpp|batch|reqreply|trace
@@ -178,21 +176,11 @@ ArbitrationPolicy arbitrationOption(const ArgParser &args,
                                     const std::string &name);
 
 /**
- * Parse option @p name as a transfer granularity across all five
- * Switching values — the packet modes plus wormhole/vct (or
- * exit(1)).
+ * Parse option @p name as a transfer granularity across all four
+ * Switching values (or exit(1)).
  */
 Switching switchingOption(const ArgParser &args,
                           const std::string &name);
-
-/**
- * Parse option @p name as a packet-granular switching mode
- * (cut-through | store-and-forward only; or exit(1)).  Prefer
- * switchingOption() for new front-ends — this narrow helper serves
- * the legacy cut-through benches.
- */
-SwitchingMode switchingModeOption(const ArgParser &args,
-                                  const std::string &name);
 
 /** Parse option @p name as a VC policy (or exit(1)). */
 VcPolicy vcPolicyOption(const ArgParser &args,

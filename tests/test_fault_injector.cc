@@ -3,7 +3,7 @@
  * Fault-injection tests: the plan is deterministic per seed, every
  * hook is draw-free when disabled (so fault-off runs stay
  * bit-identical), corrupted headers are detected by the checksum
- * rather than silently absorbed, and all three network simulators
+ * rather than silently absorbed, and the network simulators
  * survive fault-mode runs with the accounting closed.
  */
 
@@ -14,7 +14,6 @@
 #include "fault/fault_injector.hh"
 #include "microarch/crossbar_arbiter.hh"
 #include "microarch/link.hh"
-#include "network/cutthrough_sim.hh"
 #include "network/mesh_sim.hh"
 #include "network/network_sim.hh"
 #include "network/torus_sim.hh"
@@ -246,32 +245,6 @@ TEST(FaultInjector, MeshFaultRunAccountsForEveryLoss)
                   report.corruptionsDetected);
     EXPECT_EQ(report.auditViolations, 0u);
     EXPECT_EQ(sim.lifetime().misrouted, 0u);
-}
-
-TEST(FaultInjector, CutThroughFaultRunAccountsForEveryLoss)
-{
-    CutThroughConfig cfg;
-    cfg.numPorts = 16;
-    cfg.radix = 4;
-    cfg.offeredLoad = 0.3;
-    cfg.common.warmupCycles = 500;
-    cfg.common.measureCycles = 5000;
-    cfg.common.faults.seed = 7;
-    cfg.common.faults.packetDropRate = 0.002;
-    cfg.common.faults.headerBitFlipRate = 0.002;
-    cfg.common.auditEveryCycles = 200;
-
-    CutThroughSimulator sim(cfg);
-    sim.run();
-    const FaultReport report = sim.faultReport();
-
-    EXPECT_GT(report.totalInjected(), 0u);
-    EXPECT_EQ(report.corruptionsDetected,
-              report.injectedOf(FaultKind::HeaderBitFlip));
-    EXPECT_EQ(sim.lifetimeFaultDropped(),
-              report.injectedOf(FaultKind::PacketDrop) +
-                  report.corruptionsDetected);
-    EXPECT_EQ(report.auditViolations, 0u);
 }
 
 // ------------------------------- soft faults under VC>1 addressing

@@ -1,7 +1,8 @@
 /**
  * @file
- * Conformance suite for the flit-level switching modes (wormhole
- * and virtual cut-through) introduced by the FlowControlScheme API:
+ * Conformance suite for the flit-level switching modes
+ * (store-and-forward, wormhole and virtual cut-through) of the
+ * FlowControlScheme API:
  *
  *  - credit conservation: after a drained run every link's credit
  *    counter is back at its cap and the engine-wide issued/returned
@@ -18,16 +19,29 @@
  *    byte-for-byte identical (counters, Welford latency moments,
  *    occupancy snapshot);
  *  - the packet-synchronized path is untouched: flit state is only
- *    allocated when a flit-level mode is requested.
+ *    allocated when a flit-level mode is requested, and one-flit
+ *    packets under VCT or store-and-forward reproduce it bit for
+ *    bit;
+ *  - timing: the unloaded floors match their closed forms for any
+ *    packet length W and per-hop turn-around R, cut-through beats
+ *    store-and-forward, and DAMQ cuts through more often than FIFO;
+ *  - variable packet lengths: offered slot load is delivered and
+ *    DAMQ keeps its lead;
+ *  - construction-time rejection of every combination the flit
+ *    path cannot honour.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/string_util.hh"
 #include "network/core/flit.hh"
 #include "network/core/flow_control.hh"
+#include "network/core/workload.hh"
 #include "network/network_sim.hh"
 #include "network/torus_sim.hh"
 #include "runner/sim_flags.hh"
@@ -83,13 +97,32 @@ TEST(SwitchingNameTest, RoundTripsAllModes)
 {
     for (Switching s :
          {Switching::PacketSync, Switching::StoreAndForward,
-          Switching::CutThrough, Switching::Wormhole,
-          Switching::VirtualCutThrough}) {
+          Switching::Wormhole, Switching::VirtualCutThrough}) {
         const auto parsed = trySwitchingFromString(switchingName(s));
         ASSERT_TRUE(parsed.has_value()) << switchingName(s);
         EXPECT_EQ(*parsed, s);
     }
+    // The retired packet-granular cut-through names mean VCT now.
+    for (const char *alias : {"cut-through", "cutthrough"}) {
+        const auto parsed = trySwitchingFromString(alias);
+        ASSERT_TRUE(parsed.has_value()) << alias;
+        EXPECT_EQ(*parsed, Switching::VirtualCutThrough);
+    }
     EXPECT_FALSE(trySwitchingFromString("warp").has_value());
+}
+
+TEST(FlowControlSchemeTest, StoreAndForwardIsFlitLevelWholePacket)
+{
+    const auto snf = FlowControlScheme::make(
+        Switching::StoreAndForward, FlowControl::Blocking);
+    EXPECT_TRUE(snf->flitLevel());
+    EXPECT_TRUE(snf->creditBased());
+    EXPECT_EQ(snf->headSlotsNeeded(4), 4u);
+    EXPECT_TRUE(snf->reservesWholePacket());
+    EXPECT_TRUE(snf->headWaitsForTail());
+    EXPECT_FALSE(FlowControlScheme::make(Switching::VirtualCutThrough,
+                                         FlowControl::Blocking)
+                     ->headWaitsForTail());
 }
 
 // --------------------------------------------------- run fixtures
@@ -141,6 +174,11 @@ TEST(FlitCreditTest, WormholeCreditsConservePerLink)
 TEST(FlitCreditTest, VctCreditsConservePerLink)
 {
     expectCreditsClosed(Switching::VirtualCutThrough);
+}
+
+TEST(FlitCreditTest, StoreAndForwardCreditsConservePerLink)
+{
+    expectCreditsClosed(Switching::StoreAndForward);
 }
 
 TEST(FlitCreditTest, OnOffModeRunsWithoutCreditCounters)
@@ -259,14 +297,22 @@ struct Observed
     std::string snapshot;
 };
 
+/** Uniform 1-4 flit packets. */
+const core::LengthDistribution kOneToFour{{1.0, 1.0, 1.0, 1.0}};
+
 Observed
-runSharded(Switching switching, std::uint32_t shards)
+runSharded(Switching switching, std::uint32_t shards,
+           bool variable_lengths = false)
 {
     TorusConfig cfg = flitTorus(switching);
     cfg.width = 8;
     cfg.height = 8;
     cfg.offeredLoad = 0.5;
     cfg.common.shards = shards;
+    if (variable_lengths) {
+        cfg.common.workload.lengths = kOneToFour;
+        cfg.offeredLoad = 0.5 / kOneToFour.mean(); // same flit load
+    }
     TorusSimulator sim(cfg);
     const TorusResult result = sim.run();
     Observed obs;
@@ -317,6 +363,22 @@ TEST(FlitShardTest, VctTorusIsBitIdenticalAcrossShardCounts)
         runSharded(Switching::VirtualCutThrough, 8);
     ASSERT_GT(one.delivered, 0u);
     expectIdentical(one, eight, "vct: 1 vs 8 shards");
+}
+
+TEST(FlitShardTest, VariableLengthsAreBitIdenticalAcrossShardCounts)
+{
+    // The per-packet length draw happens on the coordinator in I1,
+    // so drawn lengths must not depend on the shard count either.
+    for (const Switching switching :
+         {Switching::StoreAndForward, Switching::VirtualCutThrough}) {
+        SCOPED_TRACE(switchingName(switching));
+        const Observed one = runSharded(switching, 1, true);
+        const Observed two = runSharded(switching, 2, true);
+        const Observed eight = runSharded(switching, 8, true);
+        ASSERT_GT(one.delivered, 0u);
+        expectIdentical(one, two, "1-4 flits: 1 vs 2 shards");
+        expectIdentical(one, eight, "1-4 flits: 1 vs 8 shards");
+    }
 }
 
 // --------------------------------------------------- omega network
@@ -416,6 +478,477 @@ TEST(FlitAdmissionDeathTest, VoqRejectsWormhole)
                 ::testing::ExitedWithCode(1), "private-slot");
 }
 
+// ----------------------- one timing model: packet vs flit identity
+
+/** The 64-port, radix-4 Omega network (3 stages) at @p load. */
+NetworkConfig
+omega64(Switching switching, std::uint32_t flits, double load)
+{
+    NetworkConfig cfg;
+    cfg.switching = switching;
+    cfg.flitsPerPacket = flits;
+    cfg.offeredLoad = load;
+    cfg.common.seed = 2024;
+    cfg.common.warmupCycles = 500;
+    cfg.common.measureCycles = 3000;
+    return cfg;
+}
+
+void
+expectSameCounters(const NetworkCounters &a, const NetworkCounters &b)
+{
+    EXPECT_EQ(a.generated, b.generated);
+    EXPECT_EQ(a.injected, b.injected);
+    EXPECT_EQ(a.delivered, b.delivered);
+    EXPECT_EQ(a.discardedAtEntry, b.discardedAtEntry);
+    EXPECT_EQ(a.discardedInternal, b.discardedInternal);
+    EXPECT_EQ(a.misrouted, b.misrouted);
+    EXPECT_EQ(a.faultDropped, b.faultDropped);
+    EXPECT_EQ(a.deliveredFlits, b.deliveredFlits);
+    EXPECT_EQ(a.headsCutThrough, b.headsCutThrough);
+}
+
+TEST(FlitIdentityTest, OneFlitPacketsReproducePacketSync)
+{
+    // At one flit per packet and R = 1 a head is its own tail and
+    // leaves the cycle after it arrives, so VCT and store-and-
+    // forward must be the packet-synchronized engine bit for bit:
+    // counters, exact Welford moments and the occupancy snapshot.
+    for (const double load : {0.3, 0.9}) {
+        NetworkSimulator ref(omega64(Switching::PacketSync, 1, load));
+        const NetworkResult want = ref.run();
+        ASSERT_GT(want.window.delivered, 0u);
+        for (const Switching switching :
+             {Switching::VirtualCutThrough,
+              Switching::StoreAndForward}) {
+            SCOPED_TRACE(detail::concat(switchingName(switching),
+                                        " at load ", load));
+            NetworkSimulator sim(omega64(switching, 1, load));
+            ASSERT_TRUE(sim.syncEngine().flitMode());
+            const NetworkResult got = sim.run();
+            expectSameCounters(got.window, want.window);
+            expectSameCounters(sim.lifetime(), ref.lifetime());
+            EXPECT_EQ(got.latencyClocks.count(),
+                      want.latencyClocks.count());
+            EXPECT_EQ(got.latencyClocks.mean(),
+                      want.latencyClocks.mean());
+            EXPECT_EQ(got.latencyClocks.stddev(),
+                      want.latencyClocks.stddev());
+            EXPECT_EQ(got.latencyClocks.min(),
+                      want.latencyClocks.min());
+            EXPECT_EQ(got.latencyClocks.max(),
+                      want.latencyClocks.max());
+            EXPECT_EQ(got.avgSourceQueueLen, want.avgSourceQueueLen);
+            EXPECT_EQ(sim.snapshotText(), ref.snapshotText());
+        }
+    }
+}
+
+TEST(FlitIdentityTest, EverySwitchingNameBuildsItsOwnModel)
+{
+    // Store-and-forward and VCT once parsed but silently ran
+    // packet-sync.  At eight flits per packet each must differ from
+    // packet-sync — and from each other.
+    const double load = 0.3 / 8; // 0.3 of link capacity
+    NetworkSimulator ref(omega64(Switching::PacketSync, 8, load));
+    const NetworkResult sync = ref.run();
+    std::string snapshots[2];
+    int i = 0;
+    for (const Switching switching :
+         {Switching::VirtualCutThrough, Switching::StoreAndForward}) {
+        SCOPED_TRACE(switchingName(switching));
+        NetworkConfig cfg = omega64(switching, 8, load);
+        cfg.slotsPerBuffer = 32;
+        NetworkSimulator sim(cfg);
+        const NetworkResult got = sim.run();
+        ASSERT_GT(got.window.delivered, 0u);
+        EXPECT_NE(got.latencyClocks.mean(),
+                  sync.latencyClocks.mean());
+        EXPECT_NE(got.window.deliveredFlits,
+                  sync.window.deliveredFlits);
+        snapshots[i++] = sim.snapshotText();
+        EXPECT_NE(snapshots[i - 1], ref.snapshotText());
+    }
+    EXPECT_NE(snapshots[0], snapshots[1]);
+}
+
+// ------------------- cut-through timing (ported clock-level tests)
+
+/**
+ * The 64-port Omega with W-flit packets, R-cycle turn-around and
+ * four packets' worth of flit slots per buffer; @p load is a
+ * fraction of link capacity (one flit per cycle).
+ */
+NetworkConfig
+cutThroughConfig(Switching switching, std::uint32_t wire,
+                 std::uint32_t route, double load)
+{
+    NetworkConfig cfg;
+    cfg.bufferType = BufferType::Damq;
+    cfg.switching = switching;
+    cfg.flitsPerPacket = wire;
+    cfg.routeCycles = route;
+    cfg.slotsPerBuffer = 4 * wire;
+    cfg.offeredLoad = load / wire;
+    cfg.common.seed = 5150;
+    cfg.common.warmupCycles = 3000;
+    cfg.common.measureCycles = 15000;
+    return cfg;
+}
+
+/** Min latency in cycles of an almost empty network. */
+double
+unloadedFloor(Switching switching, std::uint32_t wire,
+              std::uint32_t route)
+{
+    NetworkConfig cfg = cutThroughConfig(switching, wire, route, 0.005);
+    cfg.common.measureCycles = 30000;
+    const NetworkResult r = NetworkSimulator(cfg).run();
+    EXPECT_GT(r.latencyClocks.count(), 100u);
+    return r.latencyClocks.min() / kClocksPerNetworkCycle;
+}
+
+/** Heads sent before their tail arrived, per head send. */
+double
+cutThroughFraction(const NetworkResult &r)
+{
+    return static_cast<double>(r.window.headsCutThrough) /
+           static_cast<double>(3 * r.window.delivered);
+}
+
+TEST(CutThroughSim, UnloadedVctFloorIsSRPlusWMinusOne)
+{
+    // S = 3 stages x R = 4 turn-around + W = 8 flits - 1: the tail
+    // lands W - 1 cycles after the head reaches the sink.
+    EXPECT_DOUBLE_EQ(
+        unloadedFloor(Switching::VirtualCutThrough, 8, 4), 19.0);
+    NetworkConfig cfg =
+        cutThroughConfig(Switching::VirtualCutThrough, 8, 4, 0.005);
+    const NetworkResult r = NetworkSimulator(cfg).run();
+    // Almost every hop past the first switch cuts through; the
+    // first switch receives whole packets from its source.
+    EXPECT_NEAR(cutThroughFraction(r), 2.0 / 3.0, 0.02);
+}
+
+TEST(CutThroughSim, UnloadedStoreAndForwardFloor)
+{
+    // R + (S-1) * max(W, R) + W - 1 = 4 + 2 * 8 + 7.
+    EXPECT_DOUBLE_EQ(unloadedFloor(Switching::StoreAndForward, 8, 4),
+                     27.0);
+    NetworkConfig cfg =
+        cutThroughConfig(Switching::StoreAndForward, 8, 4, 0.3);
+    EXPECT_EQ(NetworkSimulator(cfg).run().window.headsCutThrough, 0u);
+}
+
+TEST(CutThroughSim, CustomTimingParameters)
+{
+    // W = 12, R = 2: VCT 3 * 2 + 11; store-and-forward 2 + 2 * 12
+    // + 11.
+    EXPECT_DOUBLE_EQ(
+        unloadedFloor(Switching::VirtualCutThrough, 12, 2), 17.0);
+    EXPECT_DOUBLE_EQ(unloadedFloor(Switching::StoreAndForward, 12, 2),
+                     37.0);
+}
+
+TEST(CutThroughSim, RouteCyclesOneKeepsTheVctFloor)
+{
+    // The default R = 1 is the flit engine's historical timing:
+    // 3 + 8 - 1 = 10 cycles, 120 clocks at 12 clocks per cycle.
+    EXPECT_DOUBLE_EQ(
+        unloadedFloor(Switching::VirtualCutThrough, 8, 1), 10.0);
+    NetworkConfig cfg;
+    cfg.switching = Switching::VirtualCutThrough;
+    cfg.flitsPerPacket = 8;
+    cfg.slotsPerBuffer = 32;
+    cfg.offeredLoad = 0.05;
+    cfg.common.measureCycles = 5000;
+    EXPECT_DOUBLE_EQ(NetworkSimulator(cfg).run().latencyClocks.min(),
+                     120.0);
+}
+
+TEST(CutThroughSim, CutThroughBeatsStoreAndForwardAtModerateLoad)
+{
+    const double vct =
+        NetworkSimulator(
+            cutThroughConfig(Switching::VirtualCutThrough, 8, 4, 0.3))
+            .run()
+            .latencyClocks.mean();
+    const double snf =
+        NetworkSimulator(
+            cutThroughConfig(Switching::StoreAndForward, 8, 4, 0.3))
+            .run()
+            .latencyClocks.mean();
+    EXPECT_LT(vct, snf);
+}
+
+TEST(CutThroughSim, DamqCutsThroughMoreThanFifo)
+{
+    NetworkConfig cfg =
+        cutThroughConfig(Switching::VirtualCutThrough, 8, 4, 0.35);
+    const double damq =
+        cutThroughFraction(NetworkSimulator(cfg).run());
+    cfg.bufferType = BufferType::Fifo;
+    const double fifo =
+        cutThroughFraction(NetworkSimulator(cfg).run());
+    // A FIFO head waits for every packet ahead of it in the buffer;
+    // a DAMQ head only for its own output's queue.
+    EXPECT_GT(damq, fifo);
+}
+
+TEST(CutThroughSim, BlockingNeverDiscards)
+{
+    NetworkConfig cfg =
+        cutThroughConfig(Switching::VirtualCutThrough, 8, 4, 0.95);
+    NetworkSimulator sim(cfg);
+    for (int i = 0; i < 10000; ++i)
+        sim.step();
+    EXPECT_EQ(sim.lifetime().discarded(), 0u);
+    EXPECT_EQ(sim.syncEngine().flowScheme().protocol(),
+              FlowControl::Credit);
+}
+
+TEST(CutThroughSim, Deterministic)
+{
+    NetworkConfig cfg =
+        cutThroughConfig(Switching::VirtualCutThrough, 8, 4, 0.3);
+    cfg.common.measureCycles = 8000;
+    const NetworkResult a = NetworkSimulator(cfg).run();
+    const NetworkResult b = NetworkSimulator(cfg).run();
+    EXPECT_EQ(a.window.delivered, b.window.delivered);
+    EXPECT_EQ(a.window.headsCutThrough, b.window.headsCutThrough);
+    EXPECT_EQ(a.latencyClocks.mean(), b.latencyClocks.mean());
+}
+
+TEST(CutThroughSim, DeliversOfferedLoadBelowSaturation)
+{
+    NetworkConfig cfg =
+        cutThroughConfig(Switching::VirtualCutThrough, 8, 4, 0.25);
+    cfg.common.measureCycles = 40000;
+    const NetworkResult r = NetworkSimulator(cfg).run();
+    EXPECT_NEAR(static_cast<double>(r.window.deliveredFlits) /
+                    (64.0 * static_cast<double>(r.measuredCycles)),
+                0.25, 0.02);
+}
+
+class CutThroughConservation
+    : public ::testing::TestWithParam<std::tuple<BufferType, Switching>>
+{
+};
+
+TEST_P(CutThroughConservation, NothingCreatedOrLost)
+{
+    NetworkConfig cfg = cutThroughConfig(std::get<1>(GetParam()), 8, 4,
+                                         0.6);
+    cfg.bufferType = std::get<0>(GetParam());
+    cfg.common.auditEveryCycles = 97;
+    NetworkSimulator sim(cfg);
+    for (int i = 0; i < 8000; ++i)
+        sim.step();
+    sim.debugValidate();
+    ASSERT_TRUE(sim.drain(200000));
+    const NetworkCounters &c = sim.lifetime();
+    EXPECT_EQ(c.generated, c.delivered);
+    EXPECT_EQ(c.deliveredFlits, 8 * c.delivered);
+    EXPECT_TRUE(sim.syncEngine().flitCreditsAtRest());
+    EXPECT_EQ(sim.faultReport().auditViolations, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, CutThroughConservation,
+    ::testing::Combine(
+        ::testing::Values(BufferType::Fifo, BufferType::Damq,
+                          BufferType::Samq, BufferType::Safc),
+        ::testing::Values(Switching::VirtualCutThrough,
+                          Switching::StoreAndForward)),
+    [](const ::testing::TestParamInfo<std::tuple<BufferType, Switching>>
+           &info) {
+        return std::string(bufferTypeName(std::get<0>(info.param))) +
+               "_blocking_" +
+               (std::get<1>(info.param) == Switching::VirtualCutThrough
+                    ? "vct"
+                    : "snf");
+    });
+
+// ----------------------- variable-length packets (ported slot tests)
+
+/** 64-port Omega, store-and-forward, 1-4 flit packets, 8 slots;
+ *  @p slot_load in flits per endpoint per cycle. */
+NetworkConfig
+varLenConfig(double slot_load)
+{
+    NetworkConfig cfg;
+    cfg.bufferType = BufferType::Damq;
+    cfg.slotsPerBuffer = 8;
+    cfg.switching = Switching::StoreAndForward;
+    cfg.common.workload.lengths = kOneToFour;
+    cfg.offeredLoad = std::min(1.0, slot_load / kOneToFour.mean());
+    cfg.common.seed = 77;
+    cfg.common.warmupCycles = 300;
+    cfg.common.measureCycles = 1500;
+    return cfg;
+}
+
+double
+slotThroughput(const NetworkResult &r)
+{
+    return static_cast<double>(r.window.deliveredFlits) /
+           (64.0 * static_cast<double>(r.measuredCycles));
+}
+
+TEST(VarLenSim, ConservesPackets)
+{
+    NetworkConfig cfg = varLenConfig(0.6);
+    cfg.common.auditEveryCycles = 50;
+    NetworkSimulator sim(cfg);
+    for (int i = 0; i < 800; ++i)
+        sim.step();
+    sim.debugValidate();
+    ASSERT_TRUE(sim.drain(100000));
+    EXPECT_EQ(sim.lifetime().generated, sim.lifetime().delivered);
+    EXPECT_TRUE(sim.syncEngine().flitCreditsAtRest());
+    EXPECT_EQ(sim.faultReport().auditViolations, 0u);
+}
+
+TEST(VarLenSim, DeliversApproximatelyOfferedSlotLoad)
+{
+    NetworkConfig cfg = varLenConfig(0.25);
+    cfg.common.measureCycles = 4000;
+    const NetworkResult r = NetworkSimulator(cfg).run();
+    EXPECT_NEAR(slotThroughput(r), 0.25, 0.03);
+    // Lengths really vary: 2.5 flits per packet on average.
+    EXPECT_NEAR(static_cast<double>(r.window.deliveredFlits) /
+                    static_cast<double>(r.window.delivered),
+                2.5, 0.1);
+}
+
+TEST(VarLenSim, FixedLengthDegeneratesToBasicBehavior)
+{
+    NetworkConfig cfg = varLenConfig(0.2);
+    cfg.common.workload.lengths = core::LengthDistribution{{1.0}};
+    cfg.flitsPerPacket = 1;
+    cfg.offeredLoad = 0.2;
+    const NetworkResult r = NetworkSimulator(cfg).run();
+    ASSERT_GT(r.window.delivered, 0u);
+    // One flit takes one cycle per hop, 3 hops, 12 clocks a cycle.
+    EXPECT_DOUBLE_EQ(r.latencyClocks.min(), 36.0);
+}
+
+TEST(VarLenSim, DamqBeatsFifoWithVariableLengths)
+{
+    // Section 5's conjecture, at saturation (full offered load).
+    NetworkConfig cfg = varLenConfig(1.0);
+    cfg.common.warmupCycles = 500;
+    cfg.common.measureCycles = 2500;
+    cfg.bufferType = BufferType::Fifo;
+    const double fifo = slotThroughput(NetworkSimulator(cfg).run());
+    cfg.bufferType = BufferType::Damq;
+    const double damq = slotThroughput(NetworkSimulator(cfg).run());
+    EXPECT_GT(damq, fifo * 1.15);
+}
+
+TEST(VarLenSim, Deterministic)
+{
+    const NetworkConfig cfg = varLenConfig(0.3);
+    const NetworkResult a = NetworkSimulator(cfg).run();
+    const NetworkResult b = NetworkSimulator(cfg).run();
+    EXPECT_EQ(a.window.delivered, b.window.delivered);
+    EXPECT_EQ(a.window.deliveredFlits, b.window.deliveredFlits);
+}
+
+TEST(VarLenSim, SamqPartitionsAlsoRun)
+{
+    NetworkConfig cfg = varLenConfig(0.3);
+    cfg.bufferType = BufferType::Samq;
+    cfg.slotsPerBuffer = 16; // 4 per partition, fits a max packet
+    cfg.common.auditEveryCycles = 50;
+    NetworkSimulator sim(cfg);
+    const NetworkResult r = sim.run();
+    EXPECT_GT(r.window.delivered, 0u);
+    sim.debugValidate();
+    EXPECT_EQ(sim.faultReport().auditViolations, 0u);
+}
+
+// ------------------------------------ construction-time rejections
+
+class FlitConfigDeathTest : public ::testing::Test
+{
+  protected:
+    void SetUp() override
+    {
+        ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    }
+};
+
+TEST_F(FlitConfigDeathTest, DiscardingIsRejected)
+{
+    for (const Switching switching :
+         {Switching::StoreAndForward, Switching::Wormhole,
+          Switching::VirtualCutThrough}) {
+        NetworkConfig cfg = omega64(switching, 4, 0.1);
+        cfg.protocol = FlowControl::Discarding;
+        EXPECT_EXIT({ NetworkSimulator sim(cfg); },
+                    ::testing::ExitedWithCode(1),
+                    "cannot use the discarding protocol");
+    }
+}
+
+TEST_F(FlitConfigDeathTest, LossyFaultClassesAreRejected)
+{
+    NetworkConfig cfg = omega64(Switching::VirtualCutThrough, 4, 0.1);
+    cfg.common.faults.packetDropRate = 0.002;
+    EXPECT_EXIT({ NetworkSimulator sim(cfg); },
+                ::testing::ExitedWithCode(1),
+                "supports only the arbiter-stuck and credit-delay");
+    cfg = omega64(Switching::StoreAndForward, 4, 0.1);
+    cfg.common.faults.headerBitFlipRate = 0.002;
+    EXPECT_EXIT({ NetworkSimulator sim(cfg); },
+                ::testing::ExitedWithCode(1),
+                "supports only the arbiter-stuck and credit-delay");
+}
+
+TEST_F(FlitConfigDeathTest, RouteCyclesNeedFlitSwitching)
+{
+    NetworkConfig cfg = omega64(Switching::PacketSync, 1, 0.1);
+    cfg.routeCycles = 4;
+    EXPECT_EXIT({ NetworkSimulator sim(cfg); },
+                ::testing::ExitedWithCode(1),
+                "routeCycles 4 needs flit-level switching");
+    cfg = omega64(Switching::VirtualCutThrough, 4, 0.1);
+    cfg.routeCycles = 0;
+    EXPECT_EXIT({ NetworkSimulator sim(cfg); },
+                ::testing::ExitedWithCode(1),
+                "routeCycles must be at least 1");
+}
+
+TEST_F(FlitConfigDeathTest, VariableLengthsNeedFlitSwitching)
+{
+    NetworkConfig cfg = omega64(Switching::PacketSync, 1, 0.1);
+    cfg.common.workload.lengths = kOneToFour;
+    EXPECT_EXIT({ NetworkSimulator sim(cfg); },
+                ::testing::ExitedWithCode(1),
+                "variable packet lengths need flit-level switching");
+    // A one-length distribution would never be drawn from.
+    cfg = omega64(Switching::VirtualCutThrough, 4, 0.1);
+    cfg.common.workload.lengths =
+        core::LengthDistribution{{0.0, 0.0, 1.0}};
+    EXPECT_EXIT({ NetworkSimulator sim(cfg); },
+                ::testing::ExitedWithCode(1),
+                "set a single length through flitsPerPacket");
+}
+
+TEST_F(FlitConfigDeathTest, VariableLengthsRejectTraceReplay)
+{
+    NetworkConfig cfg = omega64(Switching::VirtualCutThrough, 4, 0.1);
+    const std::string path = ::testing::TempDir() + "varlen.trace";
+    core::writeWorkloadTrace(path, {{1, 0, 5}, {2, 3, 9}});
+    cfg.common.workload.kind = core::WorkloadKind::Trace;
+    cfg.common.workload.traceFile = path;
+    cfg.common.workload.lengths = kOneToFour;
+    EXPECT_EXIT({ NetworkSimulator sim(cfg); },
+                ::testing::ExitedWithCode(1),
+                "trace workload cannot replay variable packet lengths");
+}
+
 // ------------------------------------------- unified CLI surface
 
 /** Parse @p extra through @p args as if typed on a command line. */
@@ -435,11 +968,11 @@ TEST(SwitchingFlagsTest, DefaultsLeaveBenchConfigUntouched)
     ArgParser args("t", "t");
     addSwitchingFlags(args, "packet-sync", "blocking");
     parseArgs(args, {});
-    Switching switching = Switching::CutThrough;
+    Switching switching = Switching::StoreAndForward;
     FlowControl protocol = FlowControl::Discarding;
     std::uint32_t flits = 7;
     applySwitchingFlags(args, switching, protocol, flits);
-    EXPECT_EQ(switching, Switching::CutThrough);
+    EXPECT_EQ(switching, Switching::StoreAndForward);
     EXPECT_EQ(protocol, FlowControl::Discarding);
     EXPECT_EQ(flits, 7u);
 }

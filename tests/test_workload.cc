@@ -12,7 +12,8 @@
  *    answered and every reply came home;
  *  - batch semantics: drain-and-measure delivers exactly the quota;
  *  - construction-time validation (peak rates, the per-class error
- *    text, closed loop x discarding) and the CLI surface.
+ *    text, closed loop x discarding) and the CLI surface;
+ *  - the packet-length distribution behind variable-length runs.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "common/arg_parser.hh"
+#include "common/random.hh"
 #include "network/core/workload.hh"
 #include "network/torus_sim.hh"
 #include "runner/sim_flags.hh"
@@ -423,6 +425,55 @@ TEST(WorkloadLegacyAlias, BurstinessConfigSelectsOnOff)
     const Observed b = runTorus(modern, 1);
     ASSERT_GT(a.lifetime.delivered, 0u);
     expectIdentical(a, b, "legacy burstiness vs explicit onoff");
+}
+
+// ------------------------------------------- packet lengths
+
+using core::LengthDistribution;
+
+TEST(LengthDistribution, MeanOfUniform14)
+{
+    LengthDistribution dist{{1.0, 1.0, 1.0, 1.0}};
+    EXPECT_DOUBLE_EQ(dist.mean(), 2.5);
+    EXPECT_TRUE(dist.variable());
+    EXPECT_EQ(dist.maxLength(), 4u);
+}
+
+TEST(LengthDistribution, SamplesStayInRangeAndMatchMean)
+{
+    LengthDistribution dist{{1.0, 1.0, 1.0, 1.0}};
+    Random rng(7);
+    double total = 0.0;
+    const int n = 40000;
+    for (int i = 0; i < n; ++i) {
+        const auto len = dist.sample(rng);
+        ASSERT_GE(len, 1u);
+        ASSERT_LE(len, 4u);
+        total += len;
+    }
+    EXPECT_NEAR(total / n, 2.5, 0.05);
+}
+
+TEST(LengthDistribution, DegenerateSingleLength)
+{
+    LengthDistribution dist{{1.0}};
+    Random rng(3);
+    for (int i = 0; i < 100; ++i)
+        EXPECT_EQ(dist.sample(rng), 1u);
+    EXPECT_DOUBLE_EQ(dist.mean(), 1.0);
+    EXPECT_FALSE(dist.variable());
+    EXPECT_EQ(dist.maxLength(), 1u);
+}
+
+TEST(LengthDistribution, SkewedWeights)
+{
+    LengthDistribution dist{{0.0, 0.0, 0.0, 1.0}};
+    Random rng(3);
+    for (int i = 0; i < 100; ++i)
+        EXPECT_EQ(dist.sample(rng), 4u);
+    // One length with weight: nothing to draw.
+    EXPECT_FALSE(dist.variable());
+    EXPECT_EQ(dist.maxLength(), 4u);
 }
 
 } // namespace
