@@ -54,12 +54,12 @@ main(int argc, char **argv)
            "64x64 Omega, blocking, smart arbitration, uniform "
            "traffic; SAMQ/SAFC need slots divisible by 4");
 
-    std::vector<NetworkTask> tasks;
+    std::vector<FabricTask> tasks;
     for (const unsigned slots : kDepths) {
         for (const BufferType type : kTypes) {
             if (!configurable(type, slots))
                 continue;
-            NetworkConfig cfg = paperNetworkConfig();
+            FabricConfig cfg = paperNetworkConfig();
             cfg.bufferType = type;
             cfg.slotsPerBuffer = slots;
             cfg.common.measureCycles = 8000;
@@ -69,11 +69,11 @@ main(int argc, char **argv)
                              atLoad(cfg, 1.0)});
         }
     }
-    for (NetworkTask &task : tasks)
+    for (FabricTask &task : tasks)
         applyCommonSimFlags(args, task.config.common,
                             "ablation_bufferdepth");
-    const std::vector<NetworkResult> results =
-        runNetworkSweep(runner, tasks);
+    const std::vector<core::SyncResult> results =
+        runSimSweep(runner, tasks);
 
     TextTable table;
     table.setHeader({"Slots", "FIFO", "DAMQ", "SAMQ", "SAFC"});
@@ -106,7 +106,7 @@ main(int argc, char **argv)
             for (const BufferType type : kTypes) {
                 if (!configurable(type, slots))
                     continue;
-                const NetworkResult &r = results[at++];
+                const core::SyncResult &r = results[at++];
                 json.beginObject();
                 json.field("buffer", bufferTypeName(type));
                 json.field("slots",

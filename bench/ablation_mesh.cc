@@ -18,7 +18,7 @@
 #include "bench_util.hh"
 #include "common/logging.hh"
 #include "common/string_util.hh"
-#include "network/mesh_sim.hh"
+#include "network/fabric_sim.hh"
 #include "network/saturation.hh"
 #include "runner/bench_output.hh"
 #include "runner/network_sweep.hh"
@@ -31,10 +31,10 @@ using namespace damq::bench;
 
 const double kLoads[] = {0.10, 0.25, 0.40};
 
-MeshConfig
+FabricConfig
 meshConfig(BufferType type, const std::string &traffic)
 {
-    MeshConfig cfg;
+    FabricConfig cfg = FabricConfig::mesh();
     cfg.width = 8;
     cfg.height = 8;
     cfg.bufferType = type;
@@ -65,10 +65,10 @@ main(int argc, char **argv)
 
     const std::string kTraffics[] = {"uniform", "transpose"};
 
-    std::vector<MeshTask> tasks;
+    std::vector<FabricTask> tasks;
     for (const std::string &traffic : kTraffics) {
         for (const BufferType type : kAllBufferTypes) {
-            const MeshConfig cfg = meshConfig(type, traffic);
+            const FabricConfig cfg = meshConfig(type, traffic);
             for (const double load : kLoads)
                 tasks.push_back(
                     {detail::concat(bufferTypeName(type), "/",
@@ -81,11 +81,11 @@ main(int argc, char **argv)
                  atLoad(cfg, 1.0)});
         }
     }
-    for (MeshTask &task : tasks)
+    for (FabricTask &task : tasks)
         applyCommonSimFlags(args, task.config.common,
                             "ablation_mesh");
-    const std::vector<MeshResult> results =
-        runMeshSweep(runner, tasks);
+    const std::vector<core::SyncResult> results =
+        runSimSweep(runner, tasks);
 
     std::size_t next = 0;
     for (const std::string &traffic : kTraffics) {
@@ -99,7 +99,7 @@ main(int argc, char **argv)
             table.addCell(bufferTypeName(type));
             for (std::size_t l = 0; l < 3; ++l) {
                 table.addCell(formatFixed(
-                    results[next++].latencyCycles.mean(), 2));
+                    results[next++].latency.mean(), 2));
             }
             const double sat =
                 results[next++].deliveredThroughput;
@@ -129,13 +129,13 @@ main(int argc, char **argv)
     // The generic saturation search (saturation.hh) runs on any
     // core-based simulator; cross-check it against the sweep's
     // load-1.0 rows on a shorter schedule.
-    MeshConfig sat_base = meshConfig(BufferType::Fifo, "uniform");
+    FabricConfig sat_base = meshConfig(BufferType::Fifo, "uniform");
     sat_base.common.warmupCycles = 1000;
     sat_base.common.measureCycles = 4000;
     applyCommonSimFlags(args, sat_base.common, "ablation_mesh");
     sat_base.common.telemetry = obs::TelemetryConfig{}; // sweep owns files
     std::cout << "\nGeneric saturation search (shared "
-                 "measureSaturation<MeshConfig>, short schedule):\n";
+                 "measureSaturation, short schedule):\n";
     SaturationSummary sat_check[2];
     {
         TextTable table;
@@ -144,7 +144,7 @@ main(int argc, char **argv)
         const BufferType kEnds[] = {BufferType::Fifo,
                                     BufferType::Damq};
         for (std::size_t i = 0; i < 2; ++i) {
-            MeshConfig cfg = sat_base;
+            FabricConfig cfg = sat_base;
             cfg.bufferType = kEnds[i];
             sat_check[i] = measureSaturation(cfg);
             table.startRow();
@@ -162,7 +162,7 @@ main(int argc, char **argv)
         JsonWriter &json = out.json();
         // The first task's config carries every CLI override
         // (--workload included), unlike a fresh meshConfig().
-        const MeshConfig &base = tasks.front().config;
+        const FabricConfig &base = tasks.front().config;
         json.key("config");
         json.beginObject();
         json.field("width", static_cast<std::uint64_t>(base.width));
@@ -190,7 +190,7 @@ main(int argc, char **argv)
                 json.beginArray();
                 const std::size_t first = at;
                 for (std::size_t l = 0; l < 3; ++l)
-                    json.value(results[at++].latencyCycles.mean());
+                    json.value(results[at++].latency.mean());
                 json.endArray();
                 json.field("saturationThroughput",
                            results[at++].deliveredThroughput);

@@ -172,7 +172,7 @@ main()
         {"output-queued", BufferPlacement::Output, BufferType::Damq},
     };
     for (const Row &row : rows) {
-        NetworkConfig cfg = paperNetworkConfig();
+        FabricConfig cfg = paperNetworkConfig();
         cfg.placement = row.placement;
         cfg.bufferType = row.type;
         cfg.common.measureCycles = 8000;

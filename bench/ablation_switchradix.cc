@@ -31,10 +31,10 @@ using namespace damq::bench;
 const std::uint32_t kRadixes[] = {2u, 4u, 8u};
 const BufferType kTypes[] = {BufferType::Fifo, BufferType::Damq};
 
-NetworkConfig
+FabricConfig
 radixConfig(std::uint32_t radix, BufferType type)
 {
-    NetworkConfig cfg = paperNetworkConfig();
+    FabricConfig cfg = paperNetworkConfig();
     cfg.radix = radix;
     // Keep storage proportional to radix (one slot per output), as
     // the paper does with 4 slots on a 4x4.
@@ -60,10 +60,10 @@ main(int argc, char **argv)
            "traffic, 1 slot per output's worth of storage (radix "
            "slots per buffer)");
 
-    std::vector<NetworkTask> tasks;
+    std::vector<FabricTask> tasks;
     for (const std::uint32_t radix : kRadixes) {
         for (const BufferType type : kTypes) {
-            const NetworkConfig cfg = radixConfig(radix, type);
+            const FabricConfig cfg = radixConfig(radix, type);
             const std::string stem = detail::concat(
                 bufferTypeName(type), "-r", radix);
             tasks.push_back(
@@ -72,11 +72,11 @@ main(int argc, char **argv)
                              atLoad(cfg, 1.0)});
         }
     }
-    for (NetworkTask &task : tasks)
+    for (FabricTask &task : tasks)
         applyCommonSimFlags(args, task.config.common,
                             "ablation_switchradix");
-    const std::vector<NetworkResult> results =
-        runNetworkSweep(runner, tasks);
+    const std::vector<core::SyncResult> results =
+        runSimSweep(runner, tasks);
 
     TextTable table;
     table.setHeader({"Radix", "Stages", "Buffer", "lat@0.30",
@@ -87,19 +87,17 @@ main(int argc, char **argv)
         double fifo_sat = 0.0;
         double damq_sat = 0.0;
         for (const BufferType type : kTypes) {
-            const NetworkConfig cfg = radixConfig(radix, type);
-            const NetworkResult &at30 = results[next++];
-            const NetworkResult &sat = results[next++];
+            const FabricConfig cfg = radixConfig(radix, type);
+            const core::SyncResult &at30 = results[next++];
+            const core::SyncResult &sat = results[next++];
 
             table.startRow();
             table.addCell(std::to_string(radix));
             table.addCell(std::to_string(
-                NetworkSimulator(cfg).topology().numStages()));
+                OmegaTopology(cfg.numPorts, cfg.radix).numStages()));
             table.addCell(bufferTypeName(type));
-            table.addCell(
-                formatFixed(at30.latencyClocks.mean(), 1));
-            table.addCell(
-                formatFixed(sat.latencyClocks.mean(), 1));
+            table.addCell(formatFixed(at30.latency.mean(), 1));
+            table.addCell(formatFixed(sat.latency.mean(), 1));
             table.addCell(
                 formatFixed(sat.deliveredThroughput, 3));
             (type == BufferType::Fifo ? fifo_sat : damq_sat) =
@@ -118,36 +116,33 @@ main(int argc, char **argv)
         JsonWriter &json = out.json();
         // The first task's config carries every CLI override
         // (--workload included), unlike a fresh radixConfig().
-        const NetworkConfig &base = tasks.front().config;
+        const FabricConfig &base = tasks.front().config;
         writeWorkloadJson(json, base.common.workload,
-                          base.trafficClasses, base.burstiness,
-                          base.meanBurstCycles);
+                          base.trafficClasses);
         json.key("rows");
         json.beginArray();
         std::size_t at = 0;
         for (const std::uint32_t radix : kRadixes) {
             for (const BufferType type : kTypes) {
-                const NetworkConfig cfg = radixConfig(radix, type);
-                const NetworkResult &at30 = results[at++];
-                const NetworkResult &sat = results[at++];
+                const FabricConfig cfg = radixConfig(radix, type);
+                const core::SyncResult &at30 = results[at++];
+                const core::SyncResult &sat = results[at++];
                 json.beginObject();
                 json.field("radix",
                            static_cast<std::uint64_t>(radix));
                 json.field(
                     "stages",
                     static_cast<std::uint64_t>(
-                        NetworkSimulator(cfg).topology()
+                        OmegaTopology(cfg.numPorts, cfg.radix)
                             .numStages()));
                 json.field("buffer", bufferTypeName(type));
-                json.field("latency30",
-                           at30.latencyClocks.mean());
-                json.field("saturatedLatencyClocks",
-                           sat.latencyClocks.mean());
+                json.field("latency30", at30.latency.mean());
+                json.field("saturatedLatencyClocks", sat.latency.mean());
                 json.field("saturationThroughput",
                            sat.deliveredThroughput);
                 json.key("e2eLatency");
                 json.beginArray();
-                const NetworkResult *points[] = {&at30, &sat};
+                const core::SyncResult *points[] = {&at30, &sat};
                 const double loads[] = {0.30, 1.0};
                 for (std::size_t p = 0; p < 2; ++p) {
                     json.beginObject();

@@ -35,11 +35,11 @@ using namespace damq;
 
 constexpr std::uint32_t kPorts = 64;
 
-NetworkConfig
+FabricConfig
 makeConfig(BufferType type, const core::LengthDistribution &lengths,
            double slot_load)
 {
-    NetworkConfig cfg;
+    FabricConfig cfg;
     cfg.numPorts = kPorts;
     cfg.radix = 4;
     cfg.bufferType = type;
@@ -59,7 +59,7 @@ makeConfig(BufferType type, const core::LengthDistribution &lengths,
 
 /** Delivered flits (slots) per endpoint per cycle. */
 double
-slotThroughput(const NetworkResult &r)
+slotThroughput(const core::SyncResult &r)
 {
     return static_cast<double>(r.window.deliveredFlits) /
            (static_cast<double>(kPorts) *
@@ -90,7 +90,7 @@ main(int argc, char **argv)
 
     // Task order: the 8 saturation points, then the 8 latency
     // points — fixed-length mix first, buffer types in table order.
-    std::vector<NetworkTask> tasks;
+    std::vector<FabricTask> tasks;
     for (const double load : {1.0, 0.25}) {
         for (const bool is_fixed : {true, false}) {
             const core::LengthDistribution &dist =
@@ -104,11 +104,11 @@ main(int argc, char **argv)
             }
         }
     }
-    for (NetworkTask &task : tasks)
+    for (FabricTask &task : tasks)
         applyCommonSimFlags(args, task.config.common,
                             "ablation_varlen");
-    const std::vector<NetworkResult> results =
-        runNetworkSweep(runner, tasks);
+    const std::vector<core::SyncResult> results =
+        runSimSweep(runner, tasks);
 
     double sat[2][4] = {};
     double lat[2][4] = {};
@@ -118,7 +118,7 @@ main(int argc, char **argv)
             sat[row][t] = slotThroughput(results[next++]);
     for (int row = 0; row < 2; ++row)
         for (int t = 0; t < 4; ++t)
-            lat[row][t] = results[next++].latencyClocks.mean();
+            lat[row][t] = results[next++].latency.mean();
 
     TextTable table;
     table.setHeader({"Packet mix", "Buffer", "lat@0.25",

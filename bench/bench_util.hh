@@ -10,7 +10,7 @@
 #include <iostream>
 #include <string>
 
-#include "network/network_sim.hh"
+#include "network/fabric_sim.hh"
 #include "runner/table_benches.hh"
 
 namespace damq {
@@ -29,7 +29,7 @@ banner(const std::string &title, const std::string &subtitle)
 }
 
 /** The Omega-network settings shared by the Section 4.2 benches. */
-inline NetworkConfig
+inline FabricConfig
 paperNetworkConfig()
 {
     // Defined beside the runner's Table 4 sweep so the bench

@@ -32,14 +32,14 @@ using namespace damq;
 
 /** Project a simulation result onto the figure's sweep point. */
 SweepPoint
-toSweepPoint(double load, const NetworkResult &result)
+toSweepPoint(double load, const core::SyncResult &result)
 {
     SweepPoint sp;
     sp.offeredLoad = load;
     sp.deliveredThroughput = result.deliveredThroughput;
-    sp.avgLatencyClocks = result.latencyClocks.mean();
-    sp.p99LatencyClocks = result.latencyClocks.mean() +
-                          2.33 * result.latencyClocks.stddev();
+    sp.avgLatencyClocks = result.latency.mean();
+    sp.p99LatencyClocks = result.latency.mean() +
+                          2.33 * result.latency.stddev();
     sp.discardFraction = result.discardFraction;
     return sp;
 }
@@ -92,7 +92,7 @@ asciiPlot(const std::vector<SweepPoint> &fifo,
 void
 writeCurveJson(JsonWriter &json, const std::string &key,
                const std::vector<SweepPoint> &curve,
-               const std::vector<NetworkResult> &results,
+               const std::vector<core::SyncResult> &results,
                std::size_t offset)
 {
     json.key(key);
@@ -134,13 +134,13 @@ main(int argc, char **argv)
         loads.push_back(p);
     loads.push_back(1.0);
 
-    NetworkConfig cfg = paperNetworkConfig();
+    FabricConfig cfg = paperNetworkConfig();
     cfg.common.measureCycles = 8000;
 
     const BufferType kTypes[] = {BufferType::Fifo, BufferType::Damq};
-    std::vector<NetworkTask> tasks;
+    std::vector<FabricTask> tasks;
     for (const BufferType type : kTypes) {
-        NetworkConfig typed = cfg;
+        FabricConfig typed = cfg;
         typed.bufferType = type;
         for (const double load : loads)
             tasks.push_back({detail::concat(bufferTypeName(type),
@@ -148,11 +148,11 @@ main(int argc, char **argv)
                                             formatFixed(load, 2)),
                              atLoad(typed, load)});
     }
-    for (NetworkTask &task : tasks)
+    for (FabricTask &task : tasks)
         applyCommonSimFlags(args, task.config.common,
                             "figure3_latency_curve");
-    const std::vector<NetworkResult> results =
-        runNetworkSweep(runner, tasks);
+    const std::vector<core::SyncResult> results =
+        runSimSweep(runner, tasks);
 
     std::vector<SweepPoint> fifo;
     std::vector<SweepPoint> damq;

@@ -39,8 +39,7 @@
 #include "common/json_writer.hh"
 #include "common/logging.hh"
 #include "common/string_util.hh"
-#include "network/network_sim.hh"
-#include "network/torus_sim.hh"
+#include "network/fabric_sim.hh"
 #include "runner/bench_output.hh"
 #include "runner/network_sweep.hh"
 #include "stats/text_table.hh"
@@ -62,13 +61,7 @@ struct Row
     BufferType buffer;
     Switching switching;
     double load = 0.0;
-    double throughput = 0.0;
-    double latencyMean = 0.0;
-    double e2eLatencyP50 = 0.0;
-    double e2eLatencyP99 = 0.0;
-    double e2eLatencyP999 = 0.0;
-    std::uint64_t e2eSamples = 0;
-    std::uint64_t delivered = 0;
+    core::SyncResult result;
     std::uint64_t watchdogTrips = 0;
     std::uint64_t auditsRun = 0;
     std::uint64_t auditViolations = 0;
@@ -89,11 +82,11 @@ armSchedule(SimCommonConfig &common)
     common.watchdogStallCycles = 1000;
 }
 
-TorusConfig
+FabricConfig
 torusConfig(BufferType type, Switching mode, std::uint32_t flits,
             double load)
 {
-    TorusConfig cfg; // blocking + two dateline VCs by default
+    FabricConfig cfg = FabricConfig::torus(); // blocking, 2 VCs
     cfg.width = 8;
     cfg.height = 8;
     cfg.bufferType = type;
@@ -106,11 +99,11 @@ torusConfig(BufferType type, Switching mode, std::uint32_t flits,
     return cfg;
 }
 
-NetworkConfig
+FabricConfig
 omegaConfig(BufferType type, Switching mode, std::uint32_t flits,
             double load)
 {
-    NetworkConfig cfg;
+    FabricConfig cfg;
     cfg.numPorts = 64; // 3 stages x 16 radix-4 switches
     cfg.radix = 4;
     cfg.bufferType = type;
@@ -122,52 +115,18 @@ omegaConfig(BufferType type, Switching mode, std::uint32_t flits,
     return cfg;
 }
 
-/** Fold one finished run into a Row (drain + conservation laws). */
-template <typename Sim, typename Result>
+/** Run @p cfg, drain it, and fold the conservation laws into a Row. */
 Row
-observe(Sim &sim, const Result &r, const std::string &workload,
+observe(const FabricConfig &cfg, const std::string &workload,
         BufferType type, Switching mode, double load)
 {
+    FabricSimulator sim(cfg);
     Row row;
     row.workload = workload;
     row.buffer = type;
     row.switching = mode;
     row.load = load;
-    row.throughput = r.deliveredThroughput;
-    row.latencyMean = r.latencyCycles.mean();
-    row.e2eLatencyP50 = r.e2eLatencyP50;
-    row.e2eLatencyP99 = r.e2eLatencyP99;
-    row.e2eLatencyP999 = r.e2eLatencyP999;
-    row.e2eSamples = r.e2eSamples;
-    row.delivered = r.window.delivered;
-    row.drained = sim.drain(kDrainBudget);
-    row.creditsAtRest = sim.syncEngine().flitCreditsAtRest();
-    const FaultReport report = sim.faultReport();
-    row.watchdogTrips = report.watchdogFired ? 1 : 0;
-    row.auditsRun = report.auditsRun;
-    row.auditViolations = report.auditViolations;
-    row.creditsIssued = report.creditsIssued;
-    row.creditsReturned = report.creditsReturned;
-    return row;
-}
-
-/** NetworkResult spells its latency field differently. */
-Row
-observeOmega(NetworkSimulator &sim, const NetworkResult &r,
-             BufferType type, Switching mode, double load)
-{
-    Row row;
-    row.workload = "omega64";
-    row.buffer = type;
-    row.switching = mode;
-    row.load = load;
-    row.throughput = r.deliveredThroughput;
-    row.latencyMean = r.latencyClocks.mean();
-    row.e2eLatencyP50 = r.e2eLatencyP50;
-    row.e2eLatencyP99 = r.e2eLatencyP99;
-    row.e2eLatencyP999 = r.e2eLatencyP999;
-    row.e2eSamples = r.e2eSamples;
-    row.delivered = r.window.delivered;
+    row.result = sim.run();
     row.drained = sim.drain(kDrainBudget);
     row.creditsAtRest = sim.syncEngine().flitCreditsAtRest();
     const FaultReport report = sim.faultReport();
@@ -227,9 +186,10 @@ renderTables(const std::vector<Row> &rows,
                     if (row.workload != workload ||
                         row.buffer != type || row.switching != mode)
                         continue;
-                    table.addCell(formatFixed(row.throughput, 3));
+                    table.addCell(formatFixed(
+                        row.result.deliveredThroughput, 3));
                     if (row.load == 0.50)
-                        lat_mid = row.latencyMean;
+                        lat_mid = row.result.latency.mean();
                     credits += row.creditsIssued;
                     trips += row.watchdogTrips;
                 }
@@ -262,16 +222,18 @@ main(int argc, char **argv)
     // runs both.  --flits-per-packet scales every buffer with it.
     std::vector<Switching> modes = {Switching::Wormhole,
                                     Switching::VirtualCutThrough};
-    Switching only = Switching::PacketSync;
-    FlowControl protocol = FlowControl::Blocking;
-    std::uint32_t flits = 4;
-    applySwitchingFlags(args, only, protocol, flits);
-    if (only != Switching::PacketSync) {
-        if (!flitLevelSwitching(only))
+    FabricConfig flags; // carries the switching surface only
+    flags.switching = modes.front();
+    flags.protocol = FlowControl::Blocking;
+    applySwitchingFlags(args, flags);
+    if (args.wasSet("switching")) {
+        if (!flitLevelSwitching(flags.switching))
             damq_fatal("this bench runs the flit-level modes; "
                        "--switching wants wormhole or vct");
-        modes = {only};
+        modes = {flags.switching};
     }
+    const FlowControl protocol = flags.protocol;
+    const std::uint32_t flits = flags.flitsPerPacket;
 
     banner("Flit - wormhole vs virtual cut-through saturation "
            "curves",
@@ -318,29 +280,25 @@ main(int argc, char **argv)
         tasks.size(), [&](std::size_t i) {
             const Task &task = tasks[i];
             if (task.workload == "torus8x8") {
-                TorusConfig cfg =
+                FabricConfig cfg =
                     torusConfig(task.buffer, task.switching, flits,
                                 task.load);
                 cfg.protocol = protocol;
                 applyCommonSimFlags(args, cfg.common, "flit");
                 taskPrefix(cfg.common, task.label);
                 cfg.common.vcs = 2; // dateline geometry is fixed
-                TorusSimulator sim(cfg);
-                const TorusResult r = sim.run();
-                return observe(sim, r, task.workload, task.buffer,
+                return observe(cfg, task.workload, task.buffer,
                                task.switching, task.load);
             }
-            NetworkConfig cfg = omegaConfig(task.buffer,
+            FabricConfig cfg = omegaConfig(task.buffer,
                                             task.switching, flits,
                                             task.load);
             cfg.protocol = protocol;
             applyCommonSimFlags(args, cfg.common, "flit");
             taskPrefix(cfg.common, task.label);
             cfg.common.vcs = 1; // single-VC stage fabric
-            NetworkSimulator sim(cfg);
-            const NetworkResult r = sim.run();
-            return observeOmega(sim, r, task.buffer, task.switching,
-                                task.load);
+            return observe(cfg, task.workload, task.buffer,
+                           task.switching, task.load);
         });
 
     for (const Row &row : rows)
@@ -400,10 +358,10 @@ main(int argc, char **argv)
             json.field("buffer", bufferTypeName(row.buffer));
             json.field("switching", switchingName(row.switching));
             json.field("load", row.load);
-            json.field("throughput", row.throughput);
-            json.field("latencyMean", row.latencyMean);
-            writeE2eLatencyJson(json, row);
-            json.field("delivered", row.delivered);
+            json.field("throughput", row.result.deliveredThroughput);
+            json.field("latencyMean", row.result.latency.mean());
+            writeE2eLatencyJson(json, row.result);
+            json.field("delivered", row.result.window.delivered);
             json.field("creditsIssued", row.creditsIssued);
             json.field("creditsReturned", row.creditsReturned);
             json.field("auditsRun", row.auditsRun);

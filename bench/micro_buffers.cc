@@ -21,7 +21,7 @@
 
 #include "common/random.hh"
 #include "markov/switch2x2.hh"
-#include "network/network_sim.hh"
+#include "network/fabric_sim.hh"
 #include "queueing/buffer_factory.hh"
 #include "switchsim/switch_model.hh"
 
@@ -107,11 +107,11 @@ void
 BM_NetworkCycle(benchmark::State &state)
 {
     const auto type = static_cast<BufferType>(state.range(0));
-    NetworkConfig cfg;
+    FabricConfig cfg;
     cfg.bufferType = type;
     cfg.offeredLoad = 0.5;
     cfg.common.seed = 9;
-    NetworkSimulator sim(cfg);
+    FabricSimulator sim(cfg);
     for (Cycle c = 0; c < 500; ++c)
         sim.step(); // warm the network
     for (auto _ : state)

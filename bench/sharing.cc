@@ -41,7 +41,7 @@
 #include "common/json_writer.hh"
 #include "common/logging.hh"
 #include "common/string_util.hh"
-#include "network/torus_sim.hh"
+#include "network/fabric_sim.hh"
 #include "queueing/admission_policy.hh"
 #include "runner/bench_output.hh"
 #include "runner/network_sweep.hh"
@@ -88,24 +88,17 @@ struct Row
     std::string workload;
     std::string combo;
     double load = 0.0;
-    double throughput = 0.0;
-    double latencyMean = 0.0;
-    double latencyP99 = 0.0;
-    double e2eLatencyP50 = 0.0;
-    double e2eLatencyP99 = 0.0;
-    double e2eLatencyP999 = 0.0;
-    std::uint64_t e2eSamples = 0;
-    std::uint64_t delivered = 0;
+    core::SyncResult result;
     std::uint64_t watchdogTrips = 0;
     std::uint64_t auditsRun = 0;
     std::uint64_t auditViolations = 0;
     bool drained = false;
 };
 
-TorusConfig
+FabricConfig
 sharingConfig(const Combo &combo, double incast, double load)
 {
-    TorusConfig cfg; // blocking + two dateline VCs by default
+    FabricConfig cfg = FabricConfig::torus(); // blocking, 2 VCs
     cfg.width = 8;
     cfg.height = 8;
     cfg.bufferType = combo.buffer;
@@ -119,8 +112,9 @@ sharingConfig(const Combo &combo, double incast, double load)
     cfg.traffic = "hotspot";
     cfg.hotSpotFraction = incast;
     cfg.offeredLoad = load;
-    cfg.burstiness = kBurstiness;
-    cfg.meanBurstCycles = 8;
+    cfg.common.workload.kind = core::WorkloadKind::OnOff;
+    cfg.common.workload.burstiness = kBurstiness;
+    cfg.common.workload.meanBurstCycles = 8;
     cfg.common.seed = 99;
     cfg.common.warmupCycles = 500;
     cfg.common.measureCycles = 2000;
@@ -129,23 +123,17 @@ sharingConfig(const Combo &combo, double incast, double load)
     return cfg;
 }
 
-/** Fold one finished run into a Row (drain + audit verdicts). */
+/** Run @p cfg, drain it, and fold the audit verdicts into a Row. */
 Row
-observe(TorusSimulator &sim, const TorusResult &r,
-        const std::string &workload, const Combo &combo, double load)
+observe(const FabricConfig &cfg, const std::string &workload,
+        const Combo &combo, double load)
 {
+    FabricSimulator sim(cfg);
     Row row;
     row.workload = workload;
     row.combo = combo.label;
     row.load = load;
-    row.throughput = r.deliveredThroughput;
-    row.latencyMean = r.latencyCycles.mean();
-    row.latencyP99 = r.latencyP99;
-    row.e2eLatencyP50 = r.e2eLatencyP50;
-    row.e2eLatencyP99 = r.e2eLatencyP99;
-    row.e2eLatencyP999 = r.e2eLatencyP999;
-    row.e2eSamples = r.e2eSamples;
-    row.delivered = r.window.delivered;
+    row.result = sim.run();
     row.drained = sim.drain(kDrainBudget);
     const FaultReport report = sim.faultReport();
     row.watchdogTrips = report.watchdogFired ? 1 : 0;
@@ -171,7 +159,7 @@ enforceRow(const Row &row)
     if (!row.drained)
         damq_fatal(where, ": network failed to drain within ",
                    kDrainBudget, " cycles");
-    if (row.delivered == 0)
+    if (row.result.window.delivered == 0)
         damq_fatal(where, ": no packets delivered");
 }
 
@@ -205,11 +193,12 @@ enforceSharingBeatsPartitioning(const std::vector<Row> &rows,
     const Row &samq = rowFor(rows, workload, "samq/static", load);
     for (const char *dynamic : {"damq/dt", "damq/delay"}) {
         const Row &row = rowFor(rows, workload, dynamic, load);
-        if (row.latencyP99 >= samq.latencyP99)
+        const double p99 = row.result.latencyP99;
+        if (p99 >= samq.result.latencyP99)
             damq_fatal(workload, "@", formatFixed(load, 2), ": ",
-                       dynamic, " p99 (", formatFixed(row.latencyP99, 1),
+                       dynamic, " p99 (", formatFixed(p99, 1),
                        ") does not beat samq/static p99 (",
-                       formatFixed(samq.latencyP99, 1), ")");
+                       formatFixed(samq.result.latencyP99, 1), ")");
     }
 }
 
@@ -234,12 +223,12 @@ renderTables(const std::vector<Row> &rows)
             for (const double load : kLoads)
                 table.addCell(formatFixed(
                     rowFor(rows, workload, combo.label, load)
-                        .throughput,
+                        .result.deliveredThroughput,
                     3));
             for (const double load : kLoads)
                 table.addCell(formatFixed(
                     rowFor(rows, workload, combo.label, load)
-                        .latencyP99,
+                        .result.latencyP99,
                     1));
         }
         std::cout << "\n" << workload
@@ -305,14 +294,12 @@ main(int argc, char **argv)
     const std::vector<Row> rows = runner.map(
         tasks.size(), [&](std::size_t i) {
             const Task &task = tasks[i];
-            TorusConfig cfg = sharingConfig(*task.combo, task.incast,
+            FabricConfig cfg = sharingConfig(*task.combo, task.incast,
                                             task.load);
             applyCommonSimFlags(args, cfg.common, "sharing");
             taskPrefix(cfg.common, task.label);
             cfg.common.vcs = 2; // dateline geometry is fixed
-            TorusSimulator sim(cfg);
-            const TorusResult r = sim.run();
-            return observe(sim, r, task.workload, *task.combo,
+            return observe(cfg, task.workload, *task.combo,
                            task.load);
         });
 
@@ -360,12 +347,11 @@ main(int argc, char **argv)
         json.endObject();
         // Echo the workload the sweep actually ran: the base config
         // with the CLI overrides (--workload included) applied.
-        TorusConfig desc_cfg =
+        FabricConfig desc_cfg =
             sharingConfig(kCombos[0], kIncastFractions[0], kLoads[0]);
         applyCommonSimFlags(args, desc_cfg.common, "sharing");
         writeWorkloadJson(json, desc_cfg.common.workload,
-                          desc_cfg.trafficClasses, desc_cfg.burstiness,
-                          desc_cfg.meanBurstCycles);
+                          desc_cfg.trafficClasses);
         json.field("watchdogTrips", std::uint64_t{0});
         json.field("dynamicBeatsStaticPartitionP99", true);
         json.key("rows");
@@ -375,11 +361,11 @@ main(int argc, char **argv)
             json.field("workload", row.workload);
             json.field("combo", row.combo);
             json.field("load", row.load);
-            json.field("throughput", row.throughput);
-            json.field("latencyMean", row.latencyMean);
-            json.field("latencyP99", row.latencyP99);
-            writeE2eLatencyJson(json, row);
-            json.field("delivered", row.delivered);
+            json.field("throughput", row.result.deliveredThroughput);
+            json.field("latencyMean", row.result.latency.mean());
+            json.field("latencyP99", row.result.latencyP99);
+            writeE2eLatencyJson(json, row.result);
+            json.field("delivered", row.result.window.delivered);
             json.field("auditsRun", row.auditsRun);
             json.endObject();
         }

@@ -45,10 +45,10 @@ const Point kPoints[] = {{ArbitrationPolicy::Dumb, 0.25},
                          {ArbitrationPolicy::Dumb, 0.75},
                          {ArbitrationPolicy::Smart, 0.50}};
 
-NetworkConfig
+FabricConfig
 pointConfig(BufferType type, const Point &point)
 {
-    NetworkConfig cfg = paperNetworkConfig();
+    FabricConfig cfg = paperNetworkConfig();
     cfg.protocol = FlowControl::Discarding;
     cfg.bufferType = type;
     cfg.arbitration = point.arbitration;
@@ -73,7 +73,7 @@ main(int argc, char **argv)
            "64x64 Omega of 4x4 switches, uniform traffic, 4 slots "
            "per input buffer, over-capacity = 0.75 offered");
 
-    std::vector<NetworkTask> tasks;
+    std::vector<FabricTask> tasks;
     for (const BufferType type : kAllBufferTypes) {
         for (const Point &point : kPoints) {
             tasks.push_back(
@@ -85,11 +85,11 @@ main(int argc, char **argv)
                  pointConfig(type, point)});
         }
     }
-    for (NetworkTask &task : tasks)
+    for (FabricTask &task : tasks)
         applyCommonSimFlags(args, task.config.common,
                             "table3_discarding");
-    const std::vector<NetworkResult> results =
-        runNetworkSweep(runner, tasks);
+    const std::vector<core::SyncResult> results =
+        runSimSweep(runner, tasks);
 
     TextTable table;
     table.setHeader({"Buffer", "dumb@0.25", "dumb@0.50",
@@ -98,10 +98,10 @@ main(int argc, char **argv)
 
     std::size_t next = 0;
     for (const BufferType type : kAllBufferTypes) {
-        const NetworkResult &d25 = results[next++];
-        const NetworkResult &d50 = results[next++];
-        const NetworkResult &over = results[next++];
-        const NetworkResult &s50 = results[next++];
+        const core::SyncResult &d25 = results[next++];
+        const core::SyncResult &d50 = results[next++];
+        const core::SyncResult &over = results[next++];
+        const core::SyncResult &s50 = results[next++];
 
         table.startRow();
         table.addCell(bufferTypeName(type));
@@ -142,7 +142,7 @@ main(int argc, char **argv)
             json.key("points");
             json.beginArray();
             for (const Point &point : kPoints) {
-                const NetworkResult &r = results[at++];
+                const core::SyncResult &r = results[at++];
                 json.beginObject();
                 json.field("arbitration",
                            arbitrationPolicyName(point.arbitration));

@@ -40,7 +40,7 @@
 #include "common/json_writer.hh"
 #include "common/logging.hh"
 #include "common/string_util.hh"
-#include "network/torus_sim.hh"
+#include "network/fabric_sim.hh"
 #include "queueing/admission_policy.hh"
 #include "runner/bench_output.hh"
 #include "runner/network_sweep.hh"
@@ -125,11 +125,12 @@ struct Row
     bool drained = false;
 };
 
-TorusConfig
+FabricConfig
 workloadConfig(const Workload &workload, const Combo &combo,
                double load)
 {
-    TorusConfig cfg; // blocking + two dateline VCs by default
+    // blocking + two dateline VCs by default
+    FabricConfig cfg = FabricConfig::torus();
     cfg.width = 8;
     cfg.height = 8;
     cfg.bufferType = combo.buffer;
@@ -157,7 +158,7 @@ workloadConfig(const Workload &workload, const Combo &combo,
 
 /** Fold one finished run into a Row (drain + audit verdicts). */
 Row
-observe(TorusSimulator &sim, const TorusResult &r,
+observe(FabricSimulator &sim, const core::SyncResult &r,
         const Workload &workload, const Combo &combo, double load)
 {
     Row row;
@@ -349,14 +350,14 @@ main(int argc, char **argv)
     const std::vector<Row> rows = runner.map(
         tasks.size(), [&](std::size_t i) {
             const Task &task = tasks[i];
-            TorusConfig cfg = workloadConfig(*task.workload,
+            FabricConfig cfg = workloadConfig(*task.workload,
                                              *task.combo, task.load);
             applyCommonSimFlags(args, cfg.common, "workloads");
             taskPrefix(cfg.common, task.label);
             cfg.common.vcs = 2; // dateline geometry is fixed
             cfg.common.workload = task.workload->config;
-            TorusSimulator sim(cfg);
-            const TorusResult r = sim.run();
+            FabricSimulator sim(cfg);
+            const core::SyncResult r = sim.run();
             return observe(sim, r, *task.workload, *task.combo,
                            task.load);
         });

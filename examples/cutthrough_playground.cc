@@ -15,7 +15,7 @@
 
 #include "common/arg_parser.hh"
 #include "common/string_util.hh"
-#include "network/network_sim.hh"
+#include "network/fabric_sim.hh"
 #include "runner/sim_flags.hh"
 #include "stats/text_table.hh"
 
@@ -39,7 +39,7 @@ main(int argc, char **argv)
     const auto wire = static_cast<std::uint32_t>(args.getInt("wire"));
     const auto route =
         static_cast<std::uint32_t>(args.getInt("route"));
-    NetworkConfig cfg;
+    FabricConfig cfg;
     cfg.bufferType = bufferTypeOption(args, "buffer");
     cfg.flitsPerPacket = wire;
     cfg.routeCycles = route;
@@ -68,16 +68,16 @@ main(int argc, char **argv)
     for (const Switching mode :
          {Switching::VirtualCutThrough, Switching::StoreAndForward}) {
         cfg.switching = mode;
-        NetworkSimulator sim(cfg);
-        const NetworkResult r = sim.run();
+        FabricSimulator sim(cfg);
+        const core::SyncResult r = sim.run();
         const double cycles =
             static_cast<double>(cfg.numPorts) *
             static_cast<double>(r.measuredCycles);
         table.startRow();
         table.addCell(switchingName(mode));
-        table.addCell(formatFixed(r.latencyClocks.mean() / clock, 1));
-        table.addCell(formatFixed(r.latencyClocks.min() / clock, 0));
-        table.addCell(formatFixed(r.latencyClocks.max() / clock, 0));
+        table.addCell(formatFixed(r.latency.mean() / clock, 1));
+        table.addCell(formatFixed(r.latency.min() / clock, 0));
+        table.addCell(formatFixed(r.latency.max() / clock, 0));
         table.addCell(formatFixed(
             static_cast<double>(r.window.deliveredFlits) / cycles, 3));
         table.addCell(

@@ -18,7 +18,7 @@
 
 #include "common/arg_parser.hh"
 #include "common/string_util.hh"
-#include "network/network_sim.hh"
+#include "network/fabric_sim.hh"
 #include "runner/sim_flags.hh"
 #include "stats/text_table.hh"
 
@@ -28,7 +28,7 @@ namespace {
 
 /** Mean buffered packets per switch at one stage, hot tree only. */
 double
-stageOccupancy(NetworkSimulator &sim, std::uint32_t stage, bool hot)
+stageOccupancy(FabricSimulator &sim, std::uint32_t stage, bool hot)
 {
     // The tree of switches leading to sink 0: at the last stage the
     // single switch 0; one stage earlier every switch that feeds
@@ -36,7 +36,7 @@ stageOccupancy(NetworkSimulator &sim, std::uint32_t stage, bool hot)
     // switch (s*radix % perStage ... ) — rather than recompute the
     // wiring here, classify by whether the switch can reach switch
     // 0 of the next stage, walking backwards from the sink.
-    const auto &topo = sim.topology();
+    const OmegaTopology &topo = sim.omega();
     const std::uint32_t per_stage = topo.switchesPerStage();
 
     // reachable[k] = set of switch indices at stage k on the tree.
@@ -59,7 +59,7 @@ stageOccupancy(NetworkSimulator &sim, std::uint32_t stage, bool hot)
     for (std::uint32_t s = 0; s < per_stage; ++s) {
         if (on_tree[stage][s] != hot)
             continue;
-        total += sim.switchAt(stage, s).totalPackets();
+        total += sim.switchAt(stage * per_stage + s).totalPackets();
         ++count;
     }
     return count == 0 ? 0.0 : total / count;
@@ -79,10 +79,9 @@ main(int argc, char **argv)
     addBufferPolicyFlags(args);
     args.parse(argc, argv);
 
-    NetworkConfig cfg;
+    FabricConfig cfg;
     cfg.bufferType = bufferTypeOption(args, "buffer");
-    applyBufferPolicyFlags(args, cfg.bufferType, cfg.sharing,
-                           cfg.trafficClasses);
+    applyBufferPolicyFlags(args, cfg);
     cfg.traffic = "hotspot";
     cfg.offeredLoad = args.getDouble("load");
     cfg.common.seed = 11;
@@ -94,7 +93,7 @@ main(int argc, char **argv)
               << formatFixed(cfg.offeredLoad, 2)
               << " offered load, 5% of packets to node 0\n\n";
 
-    NetworkSimulator sim(cfg);
+    FabricSimulator sim(cfg);
     TextTable table;
     table.setHeader({"cycle", "stage2 hot", "stage2 cold",
                      "stage1 hot", "stage1 cold", "stage0 hot",
@@ -123,12 +122,12 @@ main(int argc, char **argv)
     std::cout << "Delivered throughput at full offered load:\n";
     for (const BufferType type :
          {BufferType::Fifo, BufferType::Damq}) {
-        NetworkConfig sat_cfg = cfg;
+        FabricConfig sat_cfg = cfg;
         sat_cfg.bufferType = type;
         sat_cfg.offeredLoad = 1.0;
         sat_cfg.common.warmupCycles = 4000;
         sat_cfg.common.measureCycles = 10000;
-        NetworkSimulator sat(sat_cfg);
+        FabricSimulator sat(sat_cfg);
         std::cout << "  " << bufferTypeName(type) << ": "
                   << formatFixed(sat.run().deliveredThroughput, 3)
                   << "  (analytic hot-spot cap: 0.241)\n";

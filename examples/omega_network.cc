@@ -16,7 +16,7 @@
 
 #include "common/arg_parser.hh"
 #include "common/string_util.hh"
-#include "network/network_sim.hh"
+#include "network/fabric_sim.hh"
 #include "runner/sim_flags.hh"
 #include "stats/text_table.hh"
 
@@ -42,8 +42,6 @@ main(int argc, char **argv)
     args.addOption("hotfraction", "0.05",
                    "hot-spot fraction (traffic=hotspot)");
     args.addOption("load", "0.5", "offered load in [0, 1]");
-    args.addOption("burstiness", "1.0",
-                   "peak/average burst factor (>= 1; 1 = smooth)");
     args.addOption("warmup", "2000", "warm-up network cycles");
     args.addOption("cycles", "12000", "measured network cycles");
     args.addOption("seed", "1", "random seed");
@@ -65,22 +63,19 @@ main(int argc, char **argv)
     args.addFlag("csv", "emit one CSV line instead of the report");
     args.parse(argc, argv);
 
-    NetworkConfig cfg;
+    FabricConfig cfg;
     cfg.numPorts = static_cast<std::uint32_t>(args.getInt("ports"));
     cfg.radix = static_cast<std::uint32_t>(args.getInt("radix"));
     cfg.bufferType = bufferTypeOption(args, "buffer");
     cfg.placement = placementOption(args, "placement");
     cfg.slotsPerBuffer =
         static_cast<std::uint32_t>(args.getInt("slots"));
-    applySwitchingFlags(args, cfg.switching, cfg.protocol,
-                        cfg.flitsPerPacket);
-    applyBufferPolicyFlags(args, cfg.bufferType, cfg.sharing,
-                           cfg.trafficClasses);
+    applySwitchingFlags(args, cfg);
+    applyBufferPolicyFlags(args, cfg);
     cfg.arbitration = arbitrationOption(args, "arbitration");
     cfg.traffic = args.getString("traffic");
     cfg.hotSpotFraction = args.getDouble("hotfraction");
     cfg.offeredLoad = args.getDouble("load");
-    cfg.burstiness = args.getDouble("burstiness");
     cfg.common.warmupCycles = static_cast<Cycle>(args.getInt("warmup"));
     cfg.common.measureCycles = static_cast<Cycle>(args.getInt("cycles"));
     cfg.common.seed = static_cast<std::uint64_t>(args.getInt("seed"));
@@ -96,8 +91,8 @@ main(int argc, char **argv)
     cfg.common.watchdogStallCycles =
         static_cast<Cycle>(args.getInt("watchdog"));
 
-    NetworkSimulator sim(cfg);
-    const NetworkResult r = sim.run();
+    FabricSimulator sim(cfg);
+    const core::SyncResult r = sim.run();
 
     if (args.getFlag("csv")) {
         std::cout << args.getString("buffer") << ","
@@ -105,7 +100,7 @@ main(int argc, char **argv)
                   << flowControlName(cfg.protocol) << ","
                   << cfg.traffic << "," << cfg.offeredLoad << ","
                   << r.deliveredThroughput << ","
-                  << r.latencyClocks.mean() << ","
+                  << r.latency.mean() << ","
                   << r.discardFraction << "\n";
         return 0;
     }
@@ -120,7 +115,7 @@ main(int argc, char **argv)
     std::cout << "Omega " << cfg.numPorts << "x" << cfg.numPorts
               << " of " << cfg.radix << "x" << cfg.radix << " "
               << bufferTypeName(cfg.bufferType) << " switches ("
-              << sim.topology().numStages() << " stages, "
+              << sim.omega().numStages() << " stages, "
               << cfg.slotsPerBuffer << " slots/buffer, "
               << switching_note
               << flowControlName(cfg.protocol) << ", "
@@ -134,13 +129,13 @@ main(int argc, char **argv)
     table.addRow({"delivered throughput",
                   formatFixed(r.deliveredThroughput, 3)});
     table.addRow({"mean latency (clocks)",
-                  formatFixed(r.latencyClocks.mean(), 2)});
+                  formatFixed(r.latency.mean(), 2)});
     table.addRow({"min latency (clocks)",
-                  formatFixed(r.latencyClocks.min(), 0)});
+                  formatFixed(r.latency.min(), 0)});
     table.addRow({"max latency (clocks)",
-                  formatFixed(r.latencyClocks.max(), 0)});
+                  formatFixed(r.latency.max(), 0)});
     table.addRow({"latency stddev",
-                  formatFixed(r.latencyClocks.stddev(), 2)});
+                  formatFixed(r.latency.stddev(), 2)});
     table.addRow({"packets delivered",
                   std::to_string(r.window.delivered)});
     table.addRow({"packets discarded",

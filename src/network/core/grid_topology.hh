@@ -14,8 +14,8 @@
  * the engine's dateline VC policy can break the ring cycles; torus
  * runs default to blocking flow control with two VCs.
  *
- * Nodes are numbered row-major (node = y * width + x), matching the
- * pre-core MeshSimulator's iteration order.
+ * Nodes are numbered row-major (node = y * width + x), the order
+ * every grid baseline was recorded in.
  */
 
 #ifndef DAMQ_NETWORK_CORE_GRID_TOPOLOGY_HH
@@ -96,6 +96,13 @@ class GridTopology : public Topology
     bool hopCrossesDateline(SwitchId sw, PortId out) const override;
 
     bool snapshotSkipsEmpty() const override { return true; }
+
+    std::uint32_t transposeSide() const override { return gridWidth; }
+
+    const char *accountingScope() const override
+    {
+        return wrap ? "torus" : "mesh";
+    }
 
     std::int64_t numTraceProcesses() const override
     {

@@ -3,12 +3,11 @@
  * core::Topology adapter over the Omega multistage network.
  *
  * Switches are numbered stage-major: flat id = stage *
- * switchesPerStage() + index-within-stage, matching the iteration
- * order of the pre-core NetworkSimulator (so fault-component
- * handles, watchdog snapshots, and telemetry probes keep their
- * order and names).  Routing delegates to OmegaTopology's
- * digit-controlled outputPortFor(); the last stage's outputs feed
- * the sinks.
+ * switchesPerStage() + index-within-stage, the order every Omega
+ * baseline was recorded in (so fault-component handles, watchdog
+ * snapshots, and telemetry probes keep their order and names).
+ * Routing delegates to OmegaTopology's digit-controlled
+ * outputPortFor(); the last stage's outputs feed the sinks.
  */
 
 #ifndef DAMQ_NETWORK_CORE_OMEGA_GRAPH_HH
@@ -80,6 +79,13 @@ class OmegaGraph final : public Topology
     }
 
     std::string switchName(SwitchId sw) const override;
+
+    double latencyUnitScale() const override
+    {
+        return static_cast<double>(kClocksPerNetworkCycle);
+    }
+
+    const char *accountingScope() const override { return "network"; }
 
     std::int64_t numTraceProcesses() const override
     {

@@ -1,10 +1,8 @@
 /**
  * @file
- * Simulator-level types shared by every network simulator: the
- * flow-control protocol (Section 4) and the monotone event counters
- * every engine accumulates.  These lived in network_sim.hh before
- * the core extraction; network_sim.hh re-exports them, so existing
- * includes keep working.
+ * Simulator-level types shared by every fabric: the flow-control
+ * protocol (Section 4) and the monotone event counters every engine
+ * accumulates.
  */
 
 #ifndef DAMQ_NETWORK_CORE_SIM_TYPES_HH

@@ -183,43 +183,14 @@ struct SyncConfig
     std::uint32_t trafficClasses = 1;
 
     /** Flits per packet at flit granularity (= Packet::lengthSlots;
-     *  ignored in PacketSync mode, where packets stay one slot, and
-     *  when common.workload.lengths draws a length per packet). */
+     *  packet-sync packets stay one slot, and a length drawn per
+     *  packet by common.workload.lengths overrides it). */
     std::uint32_t flitsPerPacket = 4;
     std::string traffic = "uniform"; ///< pattern name (see makeTraffic)
     double hotSpotFraction = 0.05;   ///< used when traffic == "hotspot"
-
-    /**
-     * Grid side length enabling the "transpose" pattern (0 = not a
-     * square grid; "transpose" then falls through to makeTraffic).
-     */
-    std::uint32_t transposeSide = 0;
-
     double offeredLoad = 0.5; ///< packets/cycle/source
 
-    /**
-     * Burstiness factor B >= 1 (see NetworkConfig::burstiness).
-     * Deprecated alias: values > 1 (with the workload kind left at
-     * its Geometric default) select the two-state OnOff injection
-     * process, bit-identical to the historical burst source.  New
-     * code should set common.workload instead.
-     */
-    double burstiness = 1.0;
-
-    /** Mean burst ("on" period) length in cycles when B > 1. */
-    Cycle meanBurstCycles = 8;
-
-    /**
-     * Clocks per network cycle for latency reporting (the Omega
-     * simulator reports in clock cycles at 12 clocks/cycle; the
-     * grid simulators report in cycles, scale 1).
-     */
-    double latencyUnitScale = 1.0;
-
-    /** Audit scope name for the packet-accounting record. */
-    const char *accountingScope = "network";
-
-    /** Seed, warmup/measure schedule, shards, faults, telemetry. */
+    /** Seed, schedule, shards, workload, faults, telemetry. */
     SimCommonConfig common;
 };
 
@@ -238,7 +209,8 @@ struct SyncResult
     /** Fraction of generated packets discarded (both kinds). */
     double discardFraction = 0.0;
 
-    /** In-network latency statistics, in latencyUnitScale units. */
+    /** In-network latency statistics, in the topology's latency
+     *  unit (Topology::latencyUnitScale). */
     RunningStats latency;
 
     /** Switch-to-switch hops per delivered packet. */
@@ -264,7 +236,7 @@ struct SyncResult
 
     /**
      * End-to-end latency tail (generation to sink, source-queue
-     * wait included), in latencyUnitScale units, from the
+     * wait included), in the topology's latency unit, from the
      * log-bucketed TailHistogram.  In-network latency above starts
      * at injection; under back-pressure the difference is exactly
      * the queueing delay the tail percentiles exist to expose.
@@ -286,6 +258,10 @@ struct SyncResult
         double p999 = 0.0;
     };
     std::vector<ClassTail> classLatency;
+
+    /** Deadlock-watchdog firings during the run (0 or 1 — the
+     *  watchdog reports each wedge once). */
+    std::uint64_t watchdogTrips = 0;
 };
 
 /**
@@ -403,10 +379,8 @@ class SyncEngine final : public SimEngine
 
   private:
     /**
-     * Build the traffic source: resolve the legacy burstiness alias
-     * (burstiness > 1 with a Geometric workload selects OnOff) and
-     * construct the injection process, whose factory validates all
-     * workload parameters.
+     * Build the traffic source: the pattern plus the injection
+     * process, whose factory validates all workload parameters.
      */
     static TrafficSource makeSource(const Topology &topology,
                                     const SyncConfig &config);
@@ -884,6 +858,10 @@ class SyncEngine final : public SimEngine
      */
     std::vector<std::uint8_t> linkUsed;
     std::vector<LinkId> linksUsedScratch;
+
+    /** Topology::latencyUnitScale, read once: the per-delivery
+     *  path multiplies by a member, not through a virtual call. */
+    double latencyScale;
 
     RunningStats latencyStats;
     Histogram latencyHist; ///< for the p50/p99 estimates

@@ -158,6 +158,26 @@ class Topology
     /** Whether diagnostic snapshots omit empty switches. */
     virtual bool snapshotSkipsEmpty() const { return false; }
 
+    // --- Reporting conventions --------------------------------------
+    // Fixed by the topology rather than configured, so no config can
+    // pair a fabric with another fabric's units or names.
+
+    /**
+     * Latency reporting unit, in units per network cycle: the Omega
+     * network reports clock cycles (the paper's 12 clocks per
+     * synchronized transfer), the grids report network cycles (1).
+     */
+    virtual double latencyUnitScale() const { return 1.0; }
+
+    /**
+     * Side of the square grid the "transpose" traffic pattern
+     * permutes, or 0 when the fabric has no such special case.
+     */
+    virtual std::uint32_t transposeSide() const { return 0; }
+
+    /** Scope name of the packet-accounting audit record. */
+    virtual const char *accountingScope() const = 0;
+
     // --- Trace/probe row layout -------------------------------------
     // Chrome-trace rows are (process, thread) pairs; each topology
     // groups its buffers its own way (Omega: one process per stage,

@@ -14,10 +14,10 @@
  * resolves the destination of each staged packet — the process may
  * pin it (closed-loop replies, trace replay), otherwise the pattern
  * draws one.  Draw order is part of the repo's determinism
- * contract: for the default geometric / two-state alias workloads,
+ * contract: for the geometric and onoff workloads,
  * shouldGenerate() makes exactly the same PRNG draws, in the same
  * order, as the pre-core simulators — burst on/off transitions
- * (only when burstiness > 1) followed by one generation draw.
+ * (onoff only) followed by one generation draw.
  */
 
 #ifndef DAMQ_NETWORK_CORE_TRAFFIC_SOURCE_HH

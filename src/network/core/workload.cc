@@ -384,8 +384,7 @@ makeInjectionProcess(const WorkloadConfig &workload,
                      std::uint32_t traffic_classes)
 {
     // The single construction-path validation: every front end (CLI
-    // flags, bench configs, the legacy burstiness alias) funnels
-    // through here.
+    // flags, bench configs) funnels through here.
     if (offered_load < 0.0 || offered_load > 1.0) {
         damq_fatal("offered load ", offered_load,
                    " is not a probability (need 0 <= load <= 1)");

@@ -14,8 +14,6 @@
  *  - onoff      the historical two-state burst source: on a
  *               fraction 1/B of the time, generating at rate
  *               load * B while on (two draws per source per cycle).
- *               The legacy `burstiness` / `meanBurstCycles` configs
- *               are a deprecated alias that selects this process.
  *  - mmpp       2-state Markov-modulated Bernoulli: both states
  *               generate (at load * B and load / B), so unlike
  *               onoff the low state still trickles.  Mean rate is
@@ -109,10 +107,7 @@ struct WorkloadConfig
 
     /**
      * Peak/average factor B for the modulated processes (onoff
-     * needs B > 1; mmpp needs B > 1; ignored by the others).  When
-     * the kind is Geometric and a simulator's legacy `burstiness`
-     * config exceeds 1, the engine rewrites the workload to OnOff
-     * with that B — the deprecated-alias path.
+     * needs B > 1; mmpp needs B > 1; ignored by the others).
      */
     double burstiness = 1.0;
 

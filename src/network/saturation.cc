@@ -2,22 +2,52 @@
 
 namespace damq {
 
-// One definition of each sweep per simulator family, so the many
-// benches and tests that sweep loads share object code.
+namespace {
 
-template std::vector<SweepPoint> sweepLoads(
-    const NetworkConfig &, const std::vector<double> &);
-template std::vector<SweepPoint> sweepLoads(
-    const MeshConfig &, const std::vector<double> &);
-template std::vector<SweepPoint> sweepLoads(
-    const TorusConfig &, const std::vector<double> &);
+/** Run @p config at offered load @p load. */
+core::SyncResult
+runAtLoad(const FabricConfig &config, double load)
+{
+    FabricConfig point = config;
+    point.offeredLoad = load;
+    return FabricSimulator(point).run();
+}
 
-template SaturationSummary measureSaturation(const NetworkConfig &);
-template SaturationSummary measureSaturation(const MeshConfig &);
-template SaturationSummary measureSaturation(const TorusConfig &);
+} // namespace
 
-template double latencyAtLoad(const NetworkConfig &, double);
-template double latencyAtLoad(const MeshConfig &, double);
-template double latencyAtLoad(const TorusConfig &, double);
+std::vector<SweepPoint>
+sweepLoads(const FabricConfig &config, const std::vector<double> &loads)
+{
+    std::vector<SweepPoint> curve;
+    curve.reserve(loads.size());
+    for (const double load : loads) {
+        const core::SyncResult result = runAtLoad(config, load);
+        SweepPoint sp;
+        sp.offeredLoad = load;
+        sp.deliveredThroughput = result.deliveredThroughput;
+        sp.avgLatencyClocks = result.latency.mean();
+        sp.p99LatencyClocks =
+            result.latency.mean() + 2.33 * result.latency.stddev();
+        sp.discardFraction = result.discardFraction;
+        curve.push_back(sp);
+    }
+    return curve;
+}
+
+SaturationSummary
+measureSaturation(const FabricConfig &config)
+{
+    const core::SyncResult result = runAtLoad(config, 1.0);
+    SaturationSummary summary;
+    summary.saturationThroughput = result.deliveredThroughput;
+    summary.saturatedLatencyClocks = result.latency.mean();
+    return summary;
+}
+
+double
+latencyAtLoad(const FabricConfig &config, double load)
+{
+    return runAtLoad(config, load).latency.mean();
+}
 
 } // namespace damq

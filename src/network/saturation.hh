@@ -1,7 +1,6 @@
 /**
  * @file
- * Load sweeps and saturation measurement for any core-based
- * simulator.
+ * Load sweeps and saturation measurement for any fabric.
  *
  * The paper (after Pfister & Norton) characterizes each network by
  * its latency-vs-throughput curve: nearly flat latency up to a
@@ -12,13 +11,9 @@
  * protocol's source queues absorb the excess, so the delivered rate
  * converges to the network's capacity.
  *
- * The sweep machinery is generic: SaturationTraits<Config> maps a
- * simulator's config/result pair onto the load knob and the three
- * curve quantities, so the same sweepLoads/measureSaturation/
- * latencyAtLoad functions drive the Omega network, the mesh and
- * the torus.  Latency units follow the simulator (clocks for the
- * Omega network, cycles for mesh/torus); within one config family
- * the curve is self-consistent.
+ * Every fabric runs through the same three functions; latency units
+ * follow the topology (clocks for the Omega network, cycles for
+ * mesh/torus), so within one fabric the curve is self-consistent.
  */
 
 #ifndef DAMQ_NETWORK_SATURATION_HH
@@ -26,9 +21,7 @@
 
 #include <vector>
 
-#include "network/mesh_sim.hh"
-#include "network/network_sim.hh"
-#include "network/torus_sim.hh"
+#include "network/fabric_sim.hh"
 
 namespace damq {
 
@@ -53,155 +46,17 @@ struct SaturationSummary
 };
 
 /**
- * Adapter from a simulator's (Config, Result) pair to the sweep
- * machinery: which field is the load knob, and where the delivered
- * throughput / latency distribution / discard fraction live in the
- * result.  Specialized for every public simulator config.
- */
-template <typename Config>
-struct SaturationTraits;
-
-template <>
-struct SaturationTraits<NetworkConfig>
-{
-    using Simulator = NetworkSimulator;
-    static void setLoad(NetworkConfig &c, double load)
-    {
-        c.offeredLoad = load;
-    }
-    static double throughput(const NetworkResult &r)
-    {
-        return r.deliveredThroughput;
-    }
-    static const RunningStats &latency(const NetworkResult &r)
-    {
-        return r.latencyClocks;
-    }
-    static double discardFraction(const NetworkResult &r)
-    {
-        return r.discardFraction;
-    }
-};
-
-template <>
-struct SaturationTraits<MeshConfig>
-{
-    using Simulator = MeshSimulator;
-    static void setLoad(MeshConfig &c, double load)
-    {
-        c.offeredLoad = load;
-    }
-    static double throughput(const MeshResult &r)
-    {
-        return r.deliveredThroughput;
-    }
-    static const RunningStats &latency(const MeshResult &r)
-    {
-        return r.latencyCycles;
-    }
-    static double discardFraction(const MeshResult &r)
-    {
-        return r.discardFraction;
-    }
-};
-
-template <>
-struct SaturationTraits<TorusConfig>
-{
-    using Simulator = TorusSimulator;
-    static void setLoad(TorusConfig &c, double load)
-    {
-        c.offeredLoad = load;
-    }
-    static double throughput(const TorusResult &r)
-    {
-        return r.deliveredThroughput;
-    }
-    static const RunningStats &latency(const TorusResult &r)
-    {
-        return r.latencyCycles;
-    }
-    static double discardFraction(const TorusResult &r)
-    {
-        return r.discardFraction;
-    }
-};
-
-/**
  * Run @p config once per load in @p loads (same seed each time) and
  * collect the latency/throughput curve.
  */
-template <typename Config>
-std::vector<SweepPoint>
-sweepLoads(const Config &config, const std::vector<double> &loads)
-{
-    using Traits = SaturationTraits<Config>;
-    std::vector<SweepPoint> curve;
-    curve.reserve(loads.size());
-    for (const double load : loads) {
-        Config point = config;
-        Traits::setLoad(point, load);
-        typename Traits::Simulator sim(point);
-        const auto result = sim.run();
-        const RunningStats &lat = Traits::latency(result);
-
-        SweepPoint sp;
-        sp.offeredLoad = load;
-        sp.deliveredThroughput = Traits::throughput(result);
-        sp.avgLatencyClocks = lat.mean();
-        sp.p99LatencyClocks = lat.mean() + 2.33 * lat.stddev();
-        sp.discardFraction = Traits::discardFraction(result);
-        curve.push_back(sp);
-    }
-    return curve;
-}
+std::vector<SweepPoint> sweepLoads(const FabricConfig &config,
+                                   const std::vector<double> &loads);
 
 /** Measure saturation by running @p config at offered load 1.0. */
-template <typename Config>
-SaturationSummary
-measureSaturation(const Config &config)
-{
-    using Traits = SaturationTraits<Config>;
-    Config full = config;
-    Traits::setLoad(full, 1.0);
-    typename Traits::Simulator sim(full);
-    const auto result = sim.run();
-
-    SaturationSummary summary;
-    summary.saturationThroughput = Traits::throughput(result);
-    summary.saturatedLatencyClocks = Traits::latency(result).mean();
-    return summary;
-}
+SaturationSummary measureSaturation(const FabricConfig &config);
 
 /** Mean in-network latency of @p config at @p load. */
-template <typename Config>
-double
-latencyAtLoad(const Config &config, double load)
-{
-    using Traits = SaturationTraits<Config>;
-    Config point = config;
-    Traits::setLoad(point, load);
-    typename Traits::Simulator sim(point);
-    return Traits::latency(sim.run()).mean();
-}
-
-extern template std::vector<SweepPoint> sweepLoads(
-    const NetworkConfig &, const std::vector<double> &);
-extern template std::vector<SweepPoint> sweepLoads(
-    const MeshConfig &, const std::vector<double> &);
-extern template std::vector<SweepPoint> sweepLoads(
-    const TorusConfig &, const std::vector<double> &);
-
-extern template SaturationSummary measureSaturation(
-    const NetworkConfig &);
-extern template SaturationSummary measureSaturation(
-    const MeshConfig &);
-extern template SaturationSummary measureSaturation(
-    const TorusConfig &);
-
-extern template double latencyAtLoad(const NetworkConfig &, double);
-extern template double latencyAtLoad(const MeshConfig &, double);
-extern template double latencyAtLoad(const TorusConfig &, double);
+double latencyAtLoad(const FabricConfig &config, double load);
 
 } // namespace damq
 

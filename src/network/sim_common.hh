@@ -1,14 +1,14 @@
 /**
  * @file
- * Run-harness knobs shared by every network-level simulator.
+ * Run-harness knobs shared by every fabric.
  *
- * The simulators (Omega, 2D mesh, torus) differ in topology but
- * share the same experimental harness: a seeded PRNG, a
- * warmup/measure schedule, an optional fault plan with periodic
- * invariant audits and a deadlock watchdog, and optional telemetry.
- * Those knobs live here, embedded by value as `common` in each
- * simulator's config struct, so a flag like --seed or --trace means
- * exactly the same thing to every front-end.
+ * The fabrics (Omega, 2D mesh, torus) differ in topology but share
+ * the same experimental harness: a seeded PRNG, a warmup/measure
+ * schedule, an optional fault plan with periodic invariant audits
+ * and a deadlock watchdog, and optional telemetry.  Those knobs
+ * live here, embedded by value as `common` in the engine config
+ * (core::SyncConfig, and so FabricConfig), so a flag like --seed
+ * or --trace means exactly the same thing to every bench.
  */
 
 #ifndef DAMQ_NETWORK_SIM_COMMON_HH
@@ -94,12 +94,9 @@ struct SimCommonConfig
 
     /**
      * Workload selection and parameters (--workload / --batch /
-     * --reply-window / --trace-file; defaults to the open-loop
-     * geometric process).  A simulator's legacy `burstiness` /
-     * `meanBurstCycles` config fields are a deprecated alias: when
-     * they exceed 1 and the kind here is still Geometric, the
-     * engine rewrites the workload to the two-state OnOff process,
-     * reproducing the historical draw sequence bit for bit.
+     * --reply-window / --trace-file / --workload-burstiness;
+     * defaults to the open-loop geometric process).  Bursty sources
+     * are the OnOff kind with burstiness > 1.
      */
     core::WorkloadConfig workload;
 

@@ -1,203 +1,25 @@
 /**
  * @file
- * A 2D-torus point-to-point network: the mesh of mesh_sim.hh with
- * wraparound links in both dimensions.
- *
- * Wraparound halves the mean distance (from ~2n/3 to ~n/2 per
- * dimension) and removes the mesh's center/edge load asymmetry, so
- * the same buffer-organization comparison (FIFO vs DAMQ vs the
- * statically allocated variants) runs under more uniform channel
- * load.  Routing is dimension-order with shortest-way ring
- * traversal (ties go east/north).
- *
- * Minimal DOR on rings without virtual channels can deadlock under
- * blocking flow control (a cycle of packets each holding the
- * buffer the next one needs all the way around a ring).  Earlier
- * revisions worked around that by defaulting the torus to the
- * discarding protocol; the engine now breaks the ring cycles with
- * dateline virtual channels instead, so the torus defaults to
- * blocking flow control with two VCs per link.  Discarding and
- * single-VC blocking runs remain available — the deadlock watchdog
- * in SimCommonConfig will flag a wedged ring.
- *
- * Like the other simulators, this is a thin policy configuration of
- * core::SyncEngine over a core::TorusTopology.
+ * Compatibility names for the torus front-end, which is now
+ * FabricSimulator over FabricConfig::torus() (network/fabric_sim.hh).
+ * New code includes fabric_sim.hh; these names keep older programs
+ * compiling unchanged.
  */
 
 #ifndef DAMQ_NETWORK_TORUS_SIM_HH
 #define DAMQ_NETWORK_TORUS_SIM_HH
 
-#include <cstdint>
-#include <string>
-#include <utility>
-
-#include "common/types.hh"
-#include "network/core/grid_topology.hh"
-#include "network/core/sim_types.hh"
-#include "network/core/sync_engine.hh"
-#include "network/mesh_sim.hh"
-#include "network/sim_common.hh"
-#include "obs/telemetry.hh"
-#include "switchsim/switch_model.hh"
+#include "network/fabric_sim.hh"
 
 namespace damq {
 
-/** Configuration of a torus run. */
-struct TorusConfig
+/** A FabricConfig that starts from the torus defaults. */
+struct TorusConfig : FabricConfig
 {
-    std::uint32_t width = 8;
-    std::uint32_t height = 8;
-    BufferType bufferType = BufferType::Damq;
-
-    /** SAMQ/SAFC need this divisible by the queue count — 5 ports
-     *  x common.vcs VCs (10 with the default two VCs). */
-    std::uint32_t slotsPerBuffer = 10;
-
-    /**
-     * Blocking by default: the dateline VC assignment (two VCs in
-     * `common`) makes minimal dimension-order routing on the
-     * wraparound rings deadlock-free, so the torus no longer needs
-     * the historical discarding workaround (see file docs).
-     */
-    FlowControl protocol = FlowControl::Blocking;
-
-    ArbitrationPolicy arbitration = ArbitrationPolicy::Smart;
-    std::uint32_t staleThreshold = 8;
-
-    /** PacketSync (historical default), or Wormhole / VCT for
-     *  flit-level switching under credit flow control. */
-    Switching switching = Switching::PacketSync;
-
-    /** Flits per packet in the flit-level modes. */
-    std::uint32_t flitsPerPacket = 4;
-
-    /** Buffer-sharing (admission) policy + VOQ private slots. */
-    SharingPolicyConfig sharing;
-
-    /** Traffic classes stamped as source % classes (1 = off). */
-    std::uint32_t trafficClasses = 1;
-
-    std::string traffic = "uniform"; ///< uniform|hotspot|transpose|...
-    double hotSpotFraction = 0.05;
-    double offeredLoad = 0.3; ///< packets/cycle/node
-
-    /**
-     * On/off traffic modulation (same semantics as
-     * NetworkConfig::burstiness): sources alternate between on
-     * periods generating at offeredLoad * B and off periods, so
-     * the average rate is unchanged but arrivals clump.  B = 1 is
-     * the plain Bernoulli process.  Requires offeredLoad * B <= 1.
-     */
-    double burstiness = 1.0;
-
-    /** Mean burst ("on" period) length in cycles when B > 1. */
-    Cycle meanBurstCycles = 8;
-
-    /** Seed, warmup/measure schedule, faults, telemetry — with two
-     *  dateline VCs per link (the deadlock-freedom escape VCs). */
-    SimCommonConfig common = defaultCommon();
-
-    /** The torus-specific SimCommonConfig defaults: two VCs. */
-    static SimCommonConfig defaultCommon()
-    {
-        SimCommonConfig common;
-        common.vcs = 2;
-        return common;
-    }
+    TorusConfig() : FabricConfig(FabricConfig::torus()) {}
 };
 
-/** Torus runs report the same quantities as mesh runs. */
-using TorusResult = MeshResult;
-
-/** The torus simulator. */
-class TorusSimulator
-{
-  public:
-    /** Build the torus for @p config (input buffering only). */
-    explicit TorusSimulator(const TorusConfig &config);
-
-    /** Advance one cycle. */
-    void step() { engine.step(); }
-
-    /** Warm up, measure, summarize. */
-    TorusResult run();
-
-    /** Current cycle. */
-    Cycle now() const { return engine.now(); }
-
-    /** Node count. */
-    std::uint32_t numNodes() const { return cfg.width * cfg.height; }
-
-    /** Switch of node @p node (test access). */
-    SwitchModel &switchAt(NodeId node)
-    {
-        return static_cast<SwitchModel &>(engine.switchUnit(node));
-    }
-
-    /** Lifetime counters. */
-    const NetworkCounters &lifetime() const
-    {
-        return engine.lifetime();
-    }
-
-    /** Packets buffered inside switches. */
-    std::uint64_t packetsInFlight() const
-    {
-        return engine.packetsInFlight();
-    }
-
-    /** Packets waiting at sources. */
-    std::uint64_t packetsAtSources() const
-    {
-        return engine.packetsAtSources();
-    }
-
-    /** Validate all buffers. */
-    void debugValidate() const { engine.debugValidate(); }
-
-    /** Stop generating and step until empty (or give up). */
-    bool drain(Cycle max_cycles) { return engine.drain(max_cycles); }
-
-    /** Injection/detection/audit/watchdog summary so far. */
-    FaultReport faultReport() const { return engine.faultReport(); }
-
-    /** The telemetry bundle, or nullptr when telemetry is off. */
-    obs::Telemetry *telemetryOrNull()
-    {
-        return engine.telemetryOrNull();
-    }
-    const obs::Telemetry *telemetryOrNull() const
-    {
-        return engine.telemetryOrNull();
-    }
-
-    /** Deterministic per-node occupancy snapshot. */
-    std::string snapshotText() const { return engine.snapshotText(); }
-
-    /** The underlying engine (flit-mode test access). */
-    core::SyncEngine &syncEngine() { return engine; }
-    const core::SyncEngine &syncEngine() const { return engine; }
-
-    /** Shortest-way DOR decision: output port at @p node. */
-    PortId routeFrom(NodeId node, NodeId dest) const
-    {
-        return ring.route(node, dest);
-    }
-
-    /** Neighbor of @p node through @p out, and its input port. */
-    std::pair<NodeId, PortId> neighbor(NodeId node, PortId out) const;
-
-  private:
-    /** Assert the torus-specific config constraints up front. */
-    static const TorusConfig &validated(const TorusConfig &config);
-
-    /** Map the public config onto the shared engine's knobs. */
-    static core::SyncConfig syncConfigOf(const TorusConfig &config);
-
-    TorusConfig cfg;
-    core::TorusTopology ring; ///< must outlive (so precede) engine
-    core::SyncEngine engine;
-};
+using TorusSimulator = FabricSimulator;
 
 } // namespace damq
 

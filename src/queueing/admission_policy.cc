@@ -38,7 +38,7 @@ std::uint64_t
 shareableFree(const AdmissionState &st)
 {
     return static_cast<std::uint64_t>(st.poolFree) -
-           st.reservedCharge - st.guaranteeSlots;
+           st.guaranteeSlots;
 }
 
 } // namespace

@@ -7,11 +7,10 @@
  * shared pool, fixed partitions, a pool with per-queue
  * reservations), but every admission rule has the same shape: the
  * target queue's allocation domain must keep enough free slots for
- * (a) the arriving packet, (b) space already promised to in-flight
- * reservations, and (c) slots the organization guarantees to
- * *other* queues.  BufferModel therefore distills its state into an
- * AdmissionState snapshot and delegates the verdict to an
- * AdmissionPolicy:
+ * (a) the arriving packet and (b) slots the organization
+ * guarantees to *other* queues.  BufferModel therefore distills
+ * its state into an AdmissionState snapshot and delegates the
+ * verdict to an AdmissionPolicy:
  *
  *   - StaticAdmission is the identity policy: exactly the paper's
  *     rules, expressed once.  Every organization's historical
@@ -96,9 +95,6 @@ struct AdmissionState
     /** Free slots in the target queue's allocation domain. */
     std::uint32_t poolFree = 0;
 
-    /** Reservation slots charged against that domain. */
-    std::uint32_t reservedCharge = 0;
-
     /**
      * Slots the domain must keep free for queues other than the
      * target: the escape-slot debt of the shared pools, one slot
@@ -133,9 +129,8 @@ struct AdmissionDecision
 
 /**
  * The base feasibility rule every policy starts from: the domain
- * must keep enough free slots for the packet, the outstanding
- * reservations, and the organization's guarantee toward the other
- * queues.
+ * must keep enough free slots for the packet and the
+ * organization's guarantee toward the other queues.
  *
  * This is the one canonical statement of the *escape-slot rule*
  * for shared pools in multi-VC layouts: guaranteeSlots counts one
@@ -151,8 +146,7 @@ struct AdmissionDecision
 inline bool
 admissionFeasible(const AdmissionState &st, std::uint32_t len)
 {
-    return st.poolFree >=
-           len + st.reservedCharge + st.guaranteeSlots;
+    return st.poolFree >= len + st.guaranteeSlots;
 }
 
 /** One admission rule.  Implementations must be stateless across
@@ -205,7 +199,7 @@ class StaticAdmission final : public AdmissionPolicy
 /**
  * Classic Dynamic Threshold: a queue may grow only while its
  * occupancy stays below alpha times the *shareable* free space
- * (free net of reservations and guarantees).  Congested queues
+ * (free net of guarantees).  Congested queues
  * self-limit as the pool drains, so no destination can monopolize
  * shared storage under incast — the modern fix for the hot-spot
  * tree saturation Section 4.2.1 of the paper reports.

@@ -40,7 +40,6 @@ tryBufferTypeFromString(const std::string &name)
 BufferModel::BufferModel(QueueLayout queue_layout,
                          std::uint32_t capacity_slots)
     : queues(queue_layout), capacity(capacity_slots),
-      reservedPerQueue(queue_layout.numQueues(), 0),
       vcCensus(queue_layout.vcs, 0)
 {
     damq_assert(queues.outputs > 0,
@@ -87,48 +86,11 @@ BufferModel::canHold(QueueKey key, std::uint32_t len) const
     return admissionFeasible(st, len);
 }
 
-bool
-BufferModel::reserve(QueueKey key, std::uint32_t len)
-{
-    damq_assert(queues.contains(key), "reserve: bad queue ", key.out,
-                ".vc", key.vc);
-    if (!canAccept(key, len))
-        return false;
-    reservedPerQueue[queues.flatten(key)] += len;
-    reservedTotal += len;
-    return true;
-}
-
-void
-BufferModel::pushReserved(const Packet &pkt)
-{
-    const QueueKey key{pkt.outPort, pkt.vc};
-    damq_assert(queues.contains(key), "pushReserved: bad output port");
-    damq_assert(reservedPerQueue[queues.flatten(key)] >= pkt.lengthSlots,
-                "pushReserved without a matching reserve");
-    reservedPerQueue[queues.flatten(key)] -= pkt.lengthSlots;
-    reservedTotal -= pkt.lengthSlots;
-    push(pkt);
-}
-
-void
-BufferModel::cancelReservation(QueueKey key, std::uint32_t len)
-{
-    damq_assert(queues.contains(key), "cancelReservation: bad queue ",
-                key.out, ".vc", key.vc);
-    damq_assert(reservedPerQueue[queues.flatten(key)] >= len,
-                "cancelReservation without a matching reserve");
-    reservedPerQueue[queues.flatten(key)] -= len;
-    reservedTotal -= len;
-}
-
 void
 BufferModel::clear()
 {
-    std::fill(reservedPerQueue.begin(), reservedPerQueue.end(), 0);
     std::fill(vcCensus.begin(), vcCensus.end(), 0);
     classCensus.fill(0);
-    reservedTotal = 0;
     fullyArrivedCount = 0;
     if (probe)
         probe->onClear(*this);

@@ -8,9 +8,7 @@
  * port is known.  The interface exposes exactly what the crossbar
  * arbiter of Section 4 needs:
  *
- *   - admission control (`canAccept` / `push`), including space
- *     *reservations* for packets still in flight on a multi-cycle
- *     link (used by the variable-length extension);
+ *   - admission control (`canAccept` / `push`);
  *   - per-queue visibility (`peek` / `queueLength`) — the paper's
  *     arbitration policy transmits "from the longest queue";
  *   - the read-port constraint (`maxReadsPerCycle`) that
@@ -161,9 +159,6 @@ class BufferModel
     /** Slots holding committed packets. */
     virtual std::uint32_t usedSlots() const = 0;
 
-    /** Slots held by not-yet-committed reservations (all queues). */
-    std::uint32_t reservedSlotsTotal() const { return reservedTotal; }
-
     /** Committed packets currently stored. */
     virtual std::uint32_t totalPackets() const = 0;
 
@@ -194,9 +189,8 @@ class BufferModel
      * organization's state via fillAdmissionState() and delegates
      * the verdict to the installed AdmissionPolicy (StaticAdmission
      * by default — byte-identical to the historical per-type rules:
-     * reservations count as occupied and each organization reports
-     * its guarantee toward the other queues, e.g. the escape-slot
-     * debt of the shared pools).
+     * each organization reports its guarantee toward the other
+     * queues, e.g. the escape-slot debt of the shared pools).
      */
     bool canAccept(QueueKey key, std::uint32_t len) const
     {
@@ -280,19 +274,6 @@ class BufferModel
         if (probe)
             probe->onEnqueue(*this, pkt);
     }
-
-    /**
-     * Hold space for a packet of @p len slots bound for queue @p key
-     * that is still arriving (multi-cycle transfer).  Returns false
-     * if the space is not available.  Matched by pushReserved().
-     */
-    bool reserve(QueueKey key, std::uint32_t len);
-
-    /** Commit a packet whose space was previously reserve()d. */
-    void pushReserved(const Packet &pkt);
-
-    /** Drop a reservation (e.g., the in-flight packet was killed). */
-    void cancelReservation(QueueKey key, std::uint32_t len);
 
     /**
      * The packet that would be transmitted next from queue @p key,
@@ -396,7 +377,7 @@ class BufferModel
     /** Short name for tables and traces. */
     std::string name() const { return bufferTypeName(type()); }
 
-    /** Discard all contents and reservations. */
+    /** Discard all contents. */
     virtual void clear();
 
     /**
@@ -430,12 +411,6 @@ class BufferModel
     virtual bool faultLeakSlot() { return false; }
 
   protected:
-    /** Reserved slots bound for queue @p key. */
-    std::uint32_t reservedFor(QueueKey key) const
-    {
-        return reservedPerQueue[queues.flatten(key)];
-    }
-
     /**
      * Escape-slot debt of a shared pool toward VCs *other than*
      * @p vc: one slot per empty foreign VC.  This is a policy-layer
@@ -460,10 +435,10 @@ class BufferModel
      * Snapshot the organization's state for the admission policy
      * (see AdmissionState for the field contracts).  @p st arrives
      * with capacity pre-filled and everything else zeroed; the
-     * organization must fill poolFree, reservedCharge and
-     * guaranteeSlots, and — when admissionPolicy()
-     * .wantsQueueOccupancy() — queueSlots/queueLength.  headWaitAge
-     * and classSlots are filled by the base admit().
+     * organization must fill poolFree and guaranteeSlots, and —
+     * when admissionPolicy().wantsQueueOccupancy() —
+     * queueSlots/queueLength.  headWaitAge and classSlots are
+     * filled by the base admit().
      */
     virtual void fillAdmissionState(QueueKey key,
                                     AdmissionState &st) const = 0;
@@ -510,11 +485,9 @@ class BufferModel
   private:
     QueueLayout queues;
     std::uint32_t capacity;
-    std::vector<std::uint32_t> reservedPerQueue;
     std::vector<std::uint32_t> vcCensus;
     /// slots held per traffic class, maintained by push/pop/flit
     std::array<std::uint32_t, kMaxTrafficClasses> classCensus{};
-    std::uint32_t reservedTotal = 0;
     std::uint32_t fullyArrivedCount = 0;
     BufferProbe *probe = nullptr;
     /// active admission rule (never null; StaticAdmission default)

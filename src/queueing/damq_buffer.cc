@@ -23,7 +23,6 @@ DamqBuffer::fillAdmissionState(QueueKey key, AdmissionState &st) const
     // debt (rationale with admissionFeasible() in
     // admission_policy.hh).
     st.poolFree = freeList.slots;
-    st.reservedCharge = reservedSlotsTotal();
     st.guaranteeSlots = escapeSlotsOwed(key.vc);
     const ListRegs &queue = queueOf(key);
     st.queueSlots = queue.slots;
@@ -36,7 +35,7 @@ DamqBuffer::pushImpl(const Packet &pkt)
     const QueueKey key{pkt.outPort, pkt.vc};
     damq_assert(layout().contains(key), "push: bad output port");
     damq_assert(pkt.lengthSlots >= 1, "push: zero-length packet");
-    damq_assert(freeList.slots >= pkt.slotsHeld() + reservedSlotsTotal(),
+    damq_assert(freeList.slots >= pkt.slotsHeld(),
                 "push into a full DAMQ buffer");
 
     ListRegs &queue = queueOf(key);

@@ -38,9 +38,6 @@ DamqReservedBuffer::fillAdmissionState(QueueKey key,
             ++reserved_for_others;
     }
     st.poolFree = inner.freeSlotCount();
-    // Reservations made through the base-class API also hold
-    // space.
-    st.reservedCharge = reservedSlotsTotal();
     st.guaranteeSlots = reserved_for_others;
     st.queueSlots = inner.queueSlotsIn(key);
     st.queueLength = inner.queueLength(key);

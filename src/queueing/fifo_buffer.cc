@@ -18,7 +18,6 @@ FifoBuffer::fillAdmissionState(QueueKey key, AdmissionState &st) const
     // the escape-slot debt guards the other VCs (rationale with
     // admissionFeasible() in admission_policy.hh).
     st.poolFree = capacitySlots() - used;
-    st.reservedCharge = reservedSlotsTotal();
     st.guaranteeSlots = escapeSlotsOwed(key.vc);
     if (admissionPolicy().wantsQueueOccupancy()) {
         // The lane is the queue (one FIFO per VC), so a dynamic
@@ -38,8 +37,7 @@ FifoBuffer::pushImpl(const Packet &pkt)
 {
     damq_assert(layout().contains({pkt.outPort, pkt.vc}),
                 "push: bad output port");
-    damq_assert(used + reservedSlotsTotal() + pkt.slotsHeld() <=
-                    capacitySlots(),
+    damq_assert(used + pkt.slotsHeld() <= capacitySlots(),
                 "push into a full FIFO buffer");
     lanes[pkt.vc].push_back(pkt);
     used += pkt.slotsHeld();
@@ -98,7 +96,7 @@ FifoBuffer::flitArrivedImpl(QueueKey key)
     ++pkt.flitsArrived;
     const bool grew = pkt.slotsHeld() > before;
     if (grew) {
-        damq_assert(used + reservedSlotsTotal() < capacitySlots(),
+        damq_assert(used < capacitySlots(),
                     "flit arrival into a full FIFO buffer");
         ++used;
     }
@@ -181,10 +179,10 @@ FifoBuffer::checkInvariants() const
         violations.push_back(detail::concat(
             "FIFO packet counter drifted (", packets, " stored, ",
             packetsStored, " counted)"));
-    if (used + reservedSlotsTotal() > capacitySlots())
+    if (used > capacitySlots())
         violations.push_back(detail::concat(
-            "FIFO over capacity (", used, " used + ",
-            reservedSlotsTotal(), " reserved > ", capacitySlots(), ")"));
+            "FIFO over capacity (", used, " used > ", capacitySlots(),
+            ")"));
     for (std::string &v : auditClassCensus())
         violations.push_back(std::move(v));
     return violations;

@@ -50,7 +50,6 @@ StaticallyPartitionedBuffer::fillAdmissionState(QueueKey key,
     // factory rejects dynamic sharing policies here).
     const std::uint32_t q = layout().flatten(key);
     st.poolFree = freeLists[q].slots;
-    st.reservedCharge = reservedFor(key);
     st.queueSlots = queues[q].slots;
     st.queueLength = packetsPerQueue[q];
 }
@@ -63,7 +62,7 @@ StaticallyPartitionedBuffer::pushImpl(const Packet &pkt)
     damq_assert(pkt.lengthSlots >= 1, "push: zero-length packet");
     const std::uint32_t q = layout().flatten(key);
     SlotListRegs &free = freeLists[q];
-    damq_assert(free.slots >= pkt.slotsHeld() + reservedFor(key),
+    damq_assert(free.slots >= pkt.slotsHeld(),
                 "push into a full ", name(), " partition");
 
     SlotListRegs &queue = queues[q];
@@ -327,12 +326,10 @@ StaticallyPartitionedBuffer::checkInvariants() const
         if (heads != packetsPerQueue[q])
             report(label, ": packet counter drifted (walked ", heads,
                    ", register holds ", packetsPerQueue[q], ")");
-        if (queues[q].slots + reservedFor(layout().unflatten(q)) >
-            perQueueCapacity)
+        if (queues[q].slots > perQueueCapacity)
             report("partition ", q, " over its static bound (",
-                   queues[q].slots, " used + ",
-                   reservedFor(layout().unflatten(q)), " reserved > ",
-                   perQueueCapacity, ")");
+                   queues[q].slots, " used > ", perQueueCapacity,
+                   ")");
         total_packets += heads;
         total_free += freeLists[q].slots;
     }

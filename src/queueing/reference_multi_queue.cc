@@ -22,7 +22,6 @@ ReferenceMultiQueue::fillAdmissionState(QueueKey key,
     // admission_policy.hh) — so the property tests can compare the
     // two decision for decision.
     st.poolFree = capacitySlots() - used;
-    st.reservedCharge = reservedSlotsTotal();
     st.guaranteeSlots = escapeSlotsOwed(key.vc);
     const SlotListRegs &queue = queues[layout().flatten(key)];
     st.queueLength = queue.slots; // one node per packet
@@ -39,8 +38,7 @@ ReferenceMultiQueue::pushImpl(const Packet &pkt)
 {
     const QueueKey key{pkt.outPort, pkt.vc};
     damq_assert(layout().contains(key), "push: bad output port");
-    damq_assert(used + reservedSlotsTotal() + pkt.slotsHeld() <=
-                    capacitySlots(),
+    damq_assert(used + pkt.slotsHeld() <= capacitySlots(),
                 "push into a full reference buffer");
     const SlotId n = slotListRemoveHead(nodes, freeNodes);
     nodes[n].packet = pkt;

@@ -29,52 +29,49 @@ BenchJsonFile::~BenchJsonFile()
 void
 writeWorkloadJson(JsonWriter &json,
                   const core::WorkloadConfig &workload,
-                  std::uint32_t traffic_classes,
-                  double legacy_burstiness,
-                  Cycle legacy_mean_burst_cycles)
+                  std::uint32_t traffic_classes)
 {
     using core::WorkloadKind;
 
-    // Mirror the engine's deprecated-alias resolution so the file
-    // describes the process that actually ran.
-    core::WorkloadConfig effective = workload;
-    if (effective.kind == WorkloadKind::Geometric &&
-        legacy_burstiness > 1.0) {
-        effective.kind = WorkloadKind::OnOff;
-        effective.burstiness = legacy_burstiness;
-        effective.meanBurstCycles = legacy_mean_burst_cycles;
-    }
-
     json.key("workload");
     json.beginObject();
-    json.field("kind", core::workloadKindName(effective.kind));
+    json.field("kind", core::workloadKindName(workload.kind));
     json.field("trafficClasses",
                static_cast<std::uint64_t>(traffic_classes));
-    switch (effective.kind) {
+    switch (workload.kind) {
     case WorkloadKind::OnOff:
     case WorkloadKind::Mmpp:
-        json.field("burstiness", effective.burstiness);
+        json.field("burstiness", workload.burstiness);
         json.field("meanBurstCycles",
                    static_cast<std::uint64_t>(
-                       effective.meanBurstCycles));
+                       workload.meanBurstCycles));
         break;
     case WorkloadKind::Batch:
         json.field("batchPackets",
                    static_cast<std::uint64_t>(
-                       effective.batchPackets));
+                       workload.batchPackets));
         break;
     case WorkloadKind::ReqReply:
         json.field("replyWindow",
                    static_cast<std::uint64_t>(
-                       effective.replyWindow));
+                       workload.replyWindow));
         break;
     case WorkloadKind::Trace:
-        json.field("traceFile", effective.traceFile);
+        json.field("traceFile", workload.traceFile);
         break;
     case WorkloadKind::Geometric:
         break;
     }
     json.endObject();
+}
+
+void
+writeE2eLatencyJson(JsonWriter &json, const core::SyncResult &r)
+{
+    json.field("e2eLatencyP50", r.e2eLatencyP50);
+    json.field("e2eLatencyP99", r.e2eLatencyP99);
+    json.field("e2eLatencyP999", r.e2eLatencyP999);
+    json.field("e2eSamples", r.e2eSamples);
 }
 
 void

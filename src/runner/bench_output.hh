@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/json_writer.hh"
+#include "network/core/sync_engine.hh"
 #include "network/core/workload.hh"
 #include "runner/sweep_runner.hh"
 
@@ -58,34 +59,19 @@ class BenchJsonFile
  * Emit the shared "workload" descriptor object on @p json (which
  * must be positioned inside an open object): the injection-process
  * kind plus its kind-specific parameters, so every BENCH_*.json
- * names the traffic process that produced it.  The legacy
- * burstiness knobs are resolved exactly as the engine resolves
- * them — a geometric workload with @p legacy_burstiness > 1 is
- * reported as the two-state on/off process it becomes.
+ * names the traffic process that produced it.
  */
 void writeWorkloadJson(JsonWriter &json,
                        const core::WorkloadConfig &workload,
-                       std::uint32_t traffic_classes = 1,
-                       double legacy_burstiness = 1.0,
-                       Cycle legacy_mean_burst_cycles = 8);
+                       std::uint32_t traffic_classes = 1);
 
 /**
  * Emit the shared end-to-end latency-tail fields of one simulation
  * result into the currently open row object: e2eLatencyP50 / P99 /
  * P999 (generation-to-delivery, measured-window packets only) and
- * the e2eSamples count they summarize.  Works for any result type
- * carrying the shared e2e members (NetworkResult, TorusResult,
- * MeshResult, ...).
+ * the e2eSamples count they summarize.
  */
-template <typename Result>
-void
-writeE2eLatencyJson(JsonWriter &json, const Result &r)
-{
-    json.field("e2eLatencyP50", r.e2eLatencyP50);
-    json.field("e2eLatencyP99", r.e2eLatencyP99);
-    json.field("e2eLatencyP999", r.e2eLatencyP999);
-    json.field("e2eSamples", r.e2eSamples);
-}
+void writeE2eLatencyJson(JsonWriter &json, const core::SyncResult &r);
 
 /**
  * Write PERF_<bench>.json from @p runner's counters for its last

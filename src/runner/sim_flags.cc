@@ -389,22 +389,25 @@ addSwitchingFlags(ArgParser &args,
 }
 
 void
-applySwitchingFlags(const ArgParser &args, Switching &switching,
-                    FlowControl &protocol,
-                    std::uint32_t &flits_per_packet)
+applySwitchingFlags(const ArgParser &args, FabricConfig &config)
 {
     if (args.wasSet("switching"))
-        switching = switchingOption(args, "switching");
+        config.switching = switchingOption(args, "switching");
     if (args.wasSet("flow-control"))
-        protocol = flowControlOption(args, "flow-control");
+        config.protocol = flowControlOption(args, "flow-control");
     if (args.wasSet("flits-per-packet")) {
         const std::int64_t flits = args.getInt("flits-per-packet");
         if (flits < 0 || flits > 4096)
             damq_fatal("--flits-per-packet wants an integer in "
                        "[1, 4096] (or 0 to keep the bench default), "
                        "got ", flits);
+        if (flits != 0 && config.switching == Switching::PacketSync)
+            damq_fatal("--flits-per-packet ", flits, " needs a "
+                       "flit-level --switching mode "
+                       "(store-and-forward | wormhole | vct); "
+                       "packet-sync moves whole one-slot packets");
         if (flits != 0)
-            flits_per_packet = static_cast<std::uint32_t>(flits);
+            config.flitsPerPacket = static_cast<std::uint32_t>(flits);
     }
 }
 
@@ -431,12 +434,11 @@ addBufferPolicyFlags(ArgParser &args)
 }
 
 void
-applyBufferPolicyFlags(const ArgParser &args, BufferType &buffer_type,
-                       SharingPolicyConfig &sharing,
-                       std::uint32_t &traffic_classes)
+applyBufferPolicyFlags(const ArgParser &args, FabricConfig &config)
 {
+    SharingPolicyConfig &sharing = config.sharing;
     if (args.getFlag("voq"))
-        buffer_type = BufferType::Voq;
+        config.bufferType = BufferType::Voq;
     if (args.wasSet("buffer-policy"))
         sharing.kind = sharingPolicyOption(args, "buffer-policy");
     if (args.wasSet("dt-alpha")) {
@@ -473,7 +475,8 @@ applyBufferPolicyFlags(const ArgParser &args, BufferType &buffer_type,
                        kMaxTrafficClasses,
                        "] (or 0 to keep the default), got ", classes);
         if (classes != 0) {
-            traffic_classes = static_cast<std::uint32_t>(classes);
+            config.trafficClasses =
+                static_cast<std::uint32_t>(classes);
             sharing.qosClasses =
                 static_cast<std::uint32_t>(classes);
         }

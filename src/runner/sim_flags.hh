@@ -25,6 +25,7 @@
 
 #include "common/arg_parser.hh"
 #include "network/core/flow_control.hh"
+#include "network/fabric_sim.hh"
 #include "network/sim_common.hh"
 #include "queueing/buffer_model.hh"
 #include "switchsim/arbiter.hh"
@@ -87,7 +88,8 @@ void applyCommonSimFlags(const ArgParser &args,
  *   --flow-control P     back-pressure protocol (blocking |
  *                        discarding | credit | on-off)
  *   --flits-per-packet N packet length in flits for the flit-level
- *                        modes (0 = keep the bench default)
+ *                        modes (0 = keep the bench default; an
+ *                        error when the run stays packet-sync)
  *
  * The once-deprecated `--mode` / `--protocol` aliases were removed
  * after two releases of warnings; the parser now rejects them like
@@ -102,11 +104,12 @@ void addSwitchingFlags(ArgParser &args,
 
 /**
  * Copy the switching surface the user explicitly set from @p args
- * into the given fields; options left unset change nothing.
+ * into @p config (switching, protocol, flitsPerPacket); options
+ * left unset change nothing.  Fatal when a non-zero
+ * --flits-per-packet would be ignored because the resulting
+ * switching is packet-sync.
  */
-void applySwitchingFlags(const ArgParser &args, Switching &switching,
-                         FlowControl &protocol,
-                         std::uint32_t &flits_per_packet);
+void applySwitchingFlags(const ArgParser &args, FabricConfig &config);
 
 /**
  * Declare the buffer-sharing (admission-policy) surface on @p args:
@@ -124,13 +127,11 @@ void addBufferPolicyFlags(ArgParser &args);
 
 /**
  * Copy the sharing surface the user explicitly set from @p args
- * into the given fields; options left unset change nothing, so the
- * defaults stay byte-identical to the historical static rules.
+ * into @p config (bufferType, sharing, trafficClasses); options
+ * left unset change nothing, so the defaults stay byte-identical
+ * to the historical static rules.
  */
-void applyBufferPolicyFlags(const ArgParser &args,
-                            BufferType &buffer_type,
-                            SharingPolicyConfig &sharing,
-                            std::uint32_t &traffic_classes);
+void applyBufferPolicyFlags(const ArgParser &args, FabricConfig &config);
 
 /**
  * @p label reduced to characters safe in a filename: alphanumerics

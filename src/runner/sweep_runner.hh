@@ -4,7 +4,7 @@
  *
  * A Section 4.2 bench is a *sweep*: the cross product of offered
  * loads, buffer organizations, and (sometimes) seeds, where every
- * point is one self-contained NetworkSimulator/MeshSimulator run.
+ * point is one self-contained FabricSimulator run.
  * The points share no state, so they can execute on any number of
  * worker threads — as long as the *results* come back in the
  * sweep's enumeration order and every task derives its randomness

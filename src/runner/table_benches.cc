@@ -10,10 +10,10 @@
 
 namespace damq {
 
-NetworkConfig
+FabricConfig
 paperOmegaConfig()
 {
-    NetworkConfig cfg;
+    FabricConfig cfg;
     cfg.numPorts = 64;
     cfg.radix = 4;
     cfg.slotsPerBuffer = 4;
@@ -45,9 +45,9 @@ runTable4(SweepRunner &runner, const Table4Options &options)
     // Enumerate type-major, saturation last — the exact order the
     // sequential bench ran its simulations in.  Each task carries a
     // complete config, so execution order never affects results.
-    std::vector<NetworkTask> tasks;
+    std::vector<FabricTask> tasks;
     for (const BufferType type : options.types) {
-        NetworkConfig cfg = options.base;
+        FabricConfig cfg = options.base;
         cfg.bufferType = type;
         for (const double load : options.loads) {
             tasks.push_back({detail::concat(bufferTypeName(type), "@",
@@ -59,8 +59,8 @@ runTable4(SweepRunner &runner, const Table4Options &options)
              atLoad(cfg, 1.0)});
     }
 
-    data.results = runNetworkSweep(runner, tasks);
-    const std::vector<NetworkResult> &results = data.results;
+    data.results = runSimSweep(runner, tasks);
+    const std::vector<core::SyncResult> &results = data.results;
 
     std::size_t next = 0;
     for (const BufferType type : options.types) {
@@ -68,15 +68,15 @@ runTable4(SweepRunner &runner, const Table4Options &options)
         row.type = type;
         for (std::size_t l = 0; l < options.loads.size(); ++l)
             row.latencyClocks.push_back(
-                results[next++].latencyClocks.mean());
-        const NetworkResult &sat = results[next++];
-        row.saturatedLatencyClocks = sat.latencyClocks.mean();
+                results[next++].latency.mean());
+        const core::SyncResult &sat = results[next++];
+        row.saturatedLatencyClocks = sat.latency.mean();
         row.saturationThroughput = sat.deliveredThroughput;
         data.rows.push_back(std::move(row));
     }
 
     data.taskLabels.reserve(tasks.size());
-    for (const NetworkTask &task : tasks)
+    for (const FabricTask &task : tasks)
         data.taskLabels.push_back(task.label);
     return data;
 }
@@ -104,7 +104,7 @@ renderTable4Text(const Table4Data &data)
 }
 
 void
-writeNetworkConfigJson(JsonWriter &json, const NetworkConfig &config)
+writeNetworkConfigJson(JsonWriter &json, const FabricConfig &config)
 {
     json.key("config");
     json.beginObject();
@@ -124,8 +124,7 @@ writeNetworkConfigJson(JsonWriter &json, const NetworkConfig &config)
                static_cast<std::uint64_t>(config.common.measureCycles));
     json.endObject();
     writeWorkloadJson(json, config.common.workload,
-                      config.trafficClasses, config.burstiness,
-                      config.meanBurstCycles);
+                      config.trafficClasses);
 }
 
 void
@@ -159,7 +158,7 @@ writeTable4Json(JsonWriter &json, const Table4Data &data)
         json.beginArray();
         for (std::size_t l = 0; l <= data.options.loads.size();
              ++l) {
-            const NetworkResult &r = data.results[at++];
+            const core::SyncResult &r = data.results[at++];
             json.beginObject();
             json.field("offeredLoad",
                        l < data.options.loads.size()

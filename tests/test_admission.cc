@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "common/arg_parser.hh"
-#include "network/torus_sim.hh"
+#include "network/fabric_sim.hh"
 #include "queueing/buffer_factory.hh"
 #include "queueing/voq_buffer.hh"
 #include "runner/sim_flags.hh"
@@ -439,10 +439,10 @@ struct Observed
     std::string snapshot;
 };
 
-TorusConfig
+FabricConfig
 torusBase()
 {
-    TorusConfig cfg;
+    FabricConfig cfg = FabricConfig::torus();
     cfg.width = 8;
     cfg.height = 8;
     cfg.offeredLoad = 0.6;
@@ -453,16 +453,16 @@ torusBase()
 }
 
 Observed
-runTorus(TorusConfig cfg, std::uint32_t shards)
+runTorus(FabricConfig cfg, std::uint32_t shards)
 {
     cfg.common.shards = shards;
-    TorusSimulator sim(cfg);
-    const TorusResult result = sim.run();
+    FabricSimulator sim(cfg);
+    const core::SyncResult result = sim.run();
     Observed obs;
     obs.delivered = result.window.delivered;
     obs.discarded = result.window.discardedAtEntry +
                     result.window.discardedInternal;
-    obs.latencyMean = result.latencyCycles.mean();
+    obs.latencyMean = result.latency.mean();
     obs.latencyP99 = result.latencyP99;
     obs.snapshot = sim.snapshotText();
     return obs;
@@ -482,7 +482,7 @@ expectIdentical(const Observed &a, const Observed &b,
 
 TEST(SharingShardIdentity, VoqTorusIsBitIdenticalAcrossShards)
 {
-    TorusConfig cfg = torusBase();
+    FabricConfig cfg = torusBase();
     cfg.bufferType = BufferType::Voq;
     const Observed one = runTorus(cfg, 1);
     const Observed two = runTorus(cfg, 2);
@@ -494,7 +494,7 @@ TEST(SharingShardIdentity, VoqTorusIsBitIdenticalAcrossShards)
 
 TEST(SharingShardIdentity, DynamicThresholdTorusIsBitIdentical)
 {
-    TorusConfig cfg = torusBase();
+    FabricConfig cfg = torusBase();
     cfg.sharing.kind = SharingPolicy::DynamicThreshold;
     cfg.sharing.dtAlpha = 1.0;
     const Observed one = runTorus(cfg, 1);
@@ -508,7 +508,7 @@ TEST(SharingShardIdentity, DelayDrivenTorusIsBitIdentical)
     // The delay policy reads the engine clock at admission time;
     // decisions must still be start-of-cycle pure at any shard
     // count.
-    TorusConfig cfg = torusBase();
+    FabricConfig cfg = torusBase();
     cfg.sharing.kind = SharingPolicy::DelayDriven;
     cfg.sharing.dtAlpha = 1.0;
     cfg.sharing.delayAgeScale = 32;
@@ -520,7 +520,7 @@ TEST(SharingShardIdentity, DelayDrivenTorusIsBitIdentical)
 
 TEST(SharingShardIdentity, ClassQosTorusIsBitIdentical)
 {
-    TorusConfig cfg = torusBase();
+    FabricConfig cfg = torusBase();
     cfg.sharing.kind = SharingPolicy::ClassQos;
     cfg.sharing.qosClasses = 2;
     cfg.trafficClasses = 2;
@@ -535,8 +535,8 @@ TEST(SharingShardIdentity, DefaultStaticConfigIsUnchanged)
     // A default-sharing run must equal a run with the sharing
     // struct spelled out explicitly — the refactor's identity
     // guarantee at engine level.
-    TorusConfig plain = torusBase();
-    TorusConfig spelled = torusBase();
+    FabricConfig plain = torusBase();
+    FabricConfig spelled = torusBase();
     spelled.sharing.kind = SharingPolicy::Static;
     spelled.trafficClasses = 1;
     expectIdentical(runTorus(plain, 1), runTorus(spelled, 1),
@@ -561,14 +561,12 @@ TEST(BufferPolicyFlags, DefaultsChangeNothing)
     ArgParser args("t", "t");
     addBufferPolicyFlags(args);
     parseArgs(args, {});
-    BufferType type = BufferType::Damq;
-    SharingPolicyConfig sharing;
-    std::uint32_t classes = 1;
-    applyBufferPolicyFlags(args, type, sharing, classes);
-    EXPECT_EQ(type, BufferType::Damq);
-    EXPECT_EQ(sharing.kind, SharingPolicy::Static);
-    EXPECT_EQ(sharing.dtAlpha, 2.0);
-    EXPECT_EQ(classes, 1u);
+    FabricConfig cfg;
+    applyBufferPolicyFlags(args, cfg);
+    EXPECT_EQ(cfg.bufferType, BufferType::Damq);
+    EXPECT_EQ(cfg.sharing.kind, SharingPolicy::Static);
+    EXPECT_EQ(cfg.sharing.dtAlpha, 2.0);
+    EXPECT_EQ(cfg.trafficClasses, 1u);
 }
 
 TEST(BufferPolicyFlags, EveryOptionApplies)
@@ -578,17 +576,15 @@ TEST(BufferPolicyFlags, EveryOptionApplies)
     parseArgs(args, {"--buffer-policy", "dt", "--dt-alpha", "0.5",
                      "--voq", "--voq-private", "2", "--classes",
                      "4", "--delay-age-scale", "16"});
-    BufferType type = BufferType::Damq;
-    SharingPolicyConfig sharing;
-    std::uint32_t classes = 1;
-    applyBufferPolicyFlags(args, type, sharing, classes);
-    EXPECT_EQ(type, BufferType::Voq);
-    EXPECT_EQ(sharing.kind, SharingPolicy::DynamicThreshold);
-    EXPECT_EQ(sharing.dtAlpha, 0.5);
-    EXPECT_EQ(sharing.voqPrivateSlots, 2u);
-    EXPECT_EQ(sharing.delayAgeScale, 16u);
-    EXPECT_EQ(sharing.qosClasses, 4u);
-    EXPECT_EQ(classes, 4u);
+    FabricConfig cfg;
+    applyBufferPolicyFlags(args, cfg);
+    EXPECT_EQ(cfg.bufferType, BufferType::Voq);
+    EXPECT_EQ(cfg.sharing.kind, SharingPolicy::DynamicThreshold);
+    EXPECT_EQ(cfg.sharing.dtAlpha, 0.5);
+    EXPECT_EQ(cfg.sharing.voqPrivateSlots, 2u);
+    EXPECT_EQ(cfg.sharing.delayAgeScale, 16u);
+    EXPECT_EQ(cfg.sharing.qosClasses, 4u);
+    EXPECT_EQ(cfg.trafficClasses, 4u);
 }
 
 } // namespace

@@ -2,8 +2,7 @@
  * @file
  * Unit tests for the four buffer organizations: FIFO semantics and
  * head-of-line blocking, SAMQ/SAFC static partitioning, DAMQ
- * dynamic sharing and linked-list bookkeeping, plus the shared
- * reservation machinery.
+ * dynamic sharing and linked-list bookkeeping.
  */
 
 #include <gtest/gtest.h>
@@ -263,53 +262,6 @@ TEST(DamqBuffer, ClearRestoresFreeList)
     EXPECT_EQ(buf.queueLength(2), 1u);
     buf.debugValidate();
 }
-
-// --------------------------------------------------------- reservations
-
-class ReservationTest : public ::testing::TestWithParam<BufferType>
-{
-};
-
-TEST_P(ReservationTest, ReservedSpaceBlocksAdmission)
-{
-    // 8 slots: for partitioned types that is 2 per output.
-    auto buf = makeBuffer(GetParam(), 4, 8);
-    EXPECT_TRUE(buf->reserve(1, 2));
-    EXPECT_EQ(buf->reservedSlotsTotal(), 2u);
-    // The partition (or pool) the reservation holds is blocked.
-    EXPECT_FALSE(buf->canAccept(1, buf->capacitySlots()));
-    // Committing consumes the reservation.
-    Packet p = makePacket(1, 1, 2);
-    buf->pushReserved(p);
-    EXPECT_EQ(buf->reservedSlotsTotal(), 0u);
-    EXPECT_EQ(buf->usedSlots(), 2u);
-    EXPECT_EQ(buf->queueLength(1), 1u);
-}
-
-TEST_P(ReservationTest, CancelReleasesSpace)
-{
-    auto buf = makeBuffer(GetParam(), 4, 8);
-    EXPECT_TRUE(buf->reserve(0, 2));
-    buf->cancelReservation(0, 2);
-    EXPECT_EQ(buf->reservedSlotsTotal(), 0u);
-    EXPECT_TRUE(buf->canAccept(0, 2));
-}
-
-TEST_P(ReservationTest, ReserveFailsWhenFull)
-{
-    auto buf = makeBuffer(GetParam(), 4, 4);
-    for (PortId out = 0; out < 4; ++out)
-        buf->push(makePacket(out, out));
-    EXPECT_FALSE(buf->reserve(0, 1));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllBufferTypes, ReservationTest,
-    ::testing::Values(BufferType::Fifo, BufferType::Samq,
-                      BufferType::Safc, BufferType::Damq),
-    [](const ::testing::TestParamInfo<BufferType> &info) {
-        return bufferTypeName(info.param);
-    });
 
 // A parameterized sweep of basic push/pop conservation.
 class ConservationTest

@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "markov/switch2x2.hh"
-#include "network/network_sim.hh"
+#include "network/fabric_sim.hh"
 #include "queueing/buffer_factory.hh"
 #include "queueing/damq_reserved_buffer.hh"
 
@@ -157,11 +157,11 @@ TEST(DamqReservedMarkov, ChainIsSmallerThanPlainDamq)
 
 TEST(DamqReservedNetwork, ConservationHolds)
 {
-    NetworkConfig cfg;
+    FabricConfig cfg;
     cfg.bufferType = BufferType::DamqR;
     cfg.offeredLoad = 0.6;
     cfg.common.seed = 5;
-    NetworkSimulator sim(cfg);
+    FabricSimulator sim(cfg);
     for (int i = 0; i < 600; ++i)
         sim.step();
     sim.debugValidate();
@@ -173,7 +173,7 @@ TEST(DamqReservedNetwork, ConservationHolds)
 
 TEST(DamqReservedNetwork, UniformSaturationNearPlainDamq)
 {
-    NetworkConfig cfg;
+    FabricConfig cfg;
     cfg.slotsPerBuffer = 8; // room for reservations + sharing
     cfg.offeredLoad = 1.0;
     cfg.common.warmupCycles = 500;
@@ -182,10 +182,10 @@ TEST(DamqReservedNetwork, UniformSaturationNearPlainDamq)
 
     cfg.bufferType = BufferType::Damq;
     const double damq =
-        NetworkSimulator(cfg).run().deliveredThroughput;
+        FabricSimulator(cfg).run().deliveredThroughput;
     cfg.bufferType = BufferType::DamqR;
     const double damqr =
-        NetworkSimulator(cfg).run().deliveredThroughput;
+        FabricSimulator(cfg).run().deliveredThroughput;
     EXPECT_NEAR(damqr, damq, 0.08);
     EXPECT_GT(damqr, 0.6);
 }

@@ -14,9 +14,7 @@
 #include "fault/fault_injector.hh"
 #include "microarch/crossbar_arbiter.hh"
 #include "microarch/link.hh"
-#include "network/mesh_sim.hh"
-#include "network/network_sim.hh"
-#include "network/torus_sim.hh"
+#include "network/fabric_sim.hh"
 #include "queueing/packet.hh"
 
 namespace damq {
@@ -157,26 +155,26 @@ TEST(FaultInjector, EventsNameComponentAndCycle)
 
 TEST(FaultInjector, FaultFreeRunIsBitIdenticalWithAuditingOn)
 {
-    NetworkConfig base;
+    FabricConfig base;
     base.numPorts = 16;
     base.radix = 4;
     base.common.warmupCycles = 200;
     base.common.measureCycles = 1000;
 
-    NetworkConfig audited = base;
+    FabricConfig audited = base;
     audited.common.auditEveryCycles = 50;
     audited.common.watchdogStallCycles = 500;
 
-    NetworkSimulator plain(base);
-    NetworkSimulator instrumented(audited);
-    const NetworkResult r1 = plain.run();
-    const NetworkResult r2 = instrumented.run();
+    FabricSimulator plain(base);
+    FabricSimulator instrumented(audited);
+    const core::SyncResult r1 = plain.run();
+    const core::SyncResult r2 = instrumented.run();
 
     EXPECT_EQ(r1.window.delivered, r2.window.delivered);
     EXPECT_EQ(r1.window.generated, r2.window.generated);
     EXPECT_EQ(r1.window.discarded(), r2.window.discarded());
-    EXPECT_DOUBLE_EQ(r1.latencyClocks.mean(),
-                     r2.latencyClocks.mean());
+    EXPECT_DOUBLE_EQ(r1.latency.mean(),
+                     r2.latency.mean());
 
     const FaultReport report = instrumented.faultReport();
     EXPECT_EQ(report.totalInjected(), 0u);
@@ -189,7 +187,7 @@ TEST(FaultInjector, FaultFreeRunIsBitIdenticalWithAuditingOn)
 
 TEST(FaultInjector, OmegaFaultRunAccountsForEveryLoss)
 {
-    NetworkConfig cfg;
+    FabricConfig cfg;
     cfg.numPorts = 16;
     cfg.radix = 4;
     cfg.offeredLoad = 0.4;
@@ -200,7 +198,7 @@ TEST(FaultInjector, OmegaFaultRunAccountsForEveryLoss)
     cfg.common.faults.headerBitFlipRate = 0.002;
     cfg.common.auditEveryCycles = 100;
 
-    NetworkSimulator sim(cfg);
+    FabricSimulator sim(cfg);
     sim.run();
     const FaultReport report = sim.faultReport();
 
@@ -221,7 +219,7 @@ TEST(FaultInjector, OmegaFaultRunAccountsForEveryLoss)
 
 TEST(FaultInjector, MeshFaultRunAccountsForEveryLoss)
 {
-    MeshConfig cfg;
+    FabricConfig cfg = FabricConfig::mesh();
     cfg.width = 4;
     cfg.height = 4;
     cfg.offeredLoad = 0.2;
@@ -233,7 +231,7 @@ TEST(FaultInjector, MeshFaultRunAccountsForEveryLoss)
     cfg.common.faults.creditDelayRate = 0.01;
     cfg.common.auditEveryCycles = 100;
 
-    MeshSimulator sim(cfg);
+    FabricSimulator sim(cfg);
     sim.run();
     const FaultReport report = sim.faultReport();
 
@@ -255,7 +253,8 @@ TEST(FaultInjector, MeshFaultRunAccountsForEveryLoss)
 
 TEST(FaultInjector, CreditDelayUnderTwoVcsStallsWithoutLosing)
 {
-    TorusConfig cfg; // blocking, two dateline VCs per link
+    // blocking, two dateline VCs per link
+    FabricConfig cfg = FabricConfig::torus();
     cfg.width = 4;
     cfg.height = 4;
     cfg.offeredLoad = 0.2;
@@ -268,8 +267,8 @@ TEST(FaultInjector, CreditDelayUnderTwoVcsStallsWithoutLosing)
     cfg.common.watchdogStallCycles = 2000;
     ASSERT_EQ(cfg.common.vcs, 2u);
 
-    TorusSimulator sim(cfg);
-    const TorusResult result = sim.run();
+    FabricSimulator sim(cfg);
+    const core::SyncResult result = sim.run();
     const FaultReport report = sim.faultReport();
 
     ASSERT_GT(report.injectedOf(FaultKind::CreditDelay), 0u);
@@ -287,7 +286,7 @@ TEST(FaultInjector, CreditDelayUnderTwoVcsStallsWithoutLosing)
 
 TEST(FaultInjector, SlotLeakUnderTwoVcsIsCaughtByTheAudit)
 {
-    TorusConfig cfg;
+    FabricConfig cfg = FabricConfig::torus();
     cfg.width = 4;
     cfg.height = 4;
     cfg.offeredLoad = 0.2;
@@ -298,7 +297,7 @@ TEST(FaultInjector, SlotLeakUnderTwoVcsIsCaughtByTheAudit)
     cfg.common.auditEveryCycles = 50;
     ASSERT_EQ(cfg.common.vcs, 2u);
 
-    TorusSimulator sim(cfg);
+    FabricSimulator sim(cfg);
     sim.run();
     const FaultReport report = sim.faultReport();
 

@@ -42,8 +42,7 @@
 #include "network/core/flit.hh"
 #include "network/core/flow_control.hh"
 #include "network/core/workload.hh"
-#include "network/network_sim.hh"
-#include "network/torus_sim.hh"
+#include "network/fabric_sim.hh"
 #include "runner/sim_flags.hh"
 
 namespace damq {
@@ -127,10 +126,14 @@ TEST(FlowControlSchemeTest, StoreAndForwardIsFlitLevelWholePacket)
 
 // --------------------------------------------------- run fixtures
 
-TorusConfig
-flitTorus(Switching switching)
+/** A 4x4 flit-switched grid: the 2-VC torus, or the 1-VC mesh. */
+FabricConfig
+flitGrid(Switching switching,
+         TopologyKind topology = TopologyKind::Torus)
 {
-    TorusConfig cfg;
+    FabricConfig cfg = topology == TopologyKind::Mesh
+                           ? FabricConfig::mesh()
+                           : FabricConfig::torus();
     cfg.width = 4;
     cfg.height = 4;
     cfg.switching = switching;
@@ -148,10 +151,11 @@ flitTorus(Switching switching)
 // --------------------------------------------- credit conservation
 
 void
-expectCreditsClosed(Switching switching)
+expectCreditsClosed(Switching switching,
+                    TopologyKind topology = TopologyKind::Torus)
 {
-    TorusSimulator sim(flitTorus(switching));
-    const TorusResult result = sim.run();
+    FabricSimulator sim(flitGrid(switching, topology));
+    const core::SyncResult result = sim.run();
     ASSERT_GT(result.window.delivered, 0u);
     EXPECT_TRUE(sim.drain(20000));
     sim.debugValidate();
@@ -181,12 +185,24 @@ TEST(FlitCreditTest, StoreAndForwardCreditsConservePerLink)
     expectCreditsClosed(Switching::StoreAndForward);
 }
 
+TEST(FlitCreditTest, MeshCreditsConservePerLink)
+{
+    // XY routing on the open mesh needs no dateline VCs; every
+    // flit-level mode must close its credits there too.
+    for (const Switching switching :
+         {Switching::Wormhole, Switching::VirtualCutThrough,
+          Switching::StoreAndForward}) {
+        SCOPED_TRACE(switchingName(switching));
+        expectCreditsClosed(switching, TopologyKind::Mesh);
+    }
+}
+
 TEST(FlitCreditTest, OnOffModeRunsWithoutCreditCounters)
 {
-    TorusConfig cfg = flitTorus(Switching::Wormhole);
+    FabricConfig cfg = flitGrid(Switching::Wormhole);
     cfg.protocol = FlowControl::OnOff;
-    TorusSimulator sim(cfg);
-    const TorusResult result = sim.run();
+    FabricSimulator sim(cfg);
+    const core::SyncResult result = sim.run();
     ASSERT_GT(result.window.delivered, 0u);
     EXPECT_TRUE(sim.drain(20000));
     // On/off backpressure keeps no counters — nothing issued.
@@ -205,12 +221,12 @@ TEST(FlitVcTest, SaturatedWormholeTorusNeverInterleavesVcs)
     // check asserts every active stream's packet is still its
     // queue's head (a second packet's flits on the same VC would
     // break that) and that the tail always freed the VC.
-    TorusConfig cfg = flitTorus(Switching::Wormhole);
+    FabricConfig cfg = flitGrid(Switching::Wormhole);
     cfg.offeredLoad = 0.9;
     cfg.common.auditEveryCycles = 1;
     cfg.common.measureCycles = 2000;
-    TorusSimulator sim(cfg);
-    const TorusResult result = sim.run();
+    FabricSimulator sim(cfg);
+    const core::SyncResult result = sim.run();
     ASSERT_GT(result.window.delivered, 0u);
     const FaultReport report = sim.faultReport();
     EXPECT_EQ(report.auditViolations, 0u);
@@ -220,12 +236,12 @@ TEST(FlitVcTest, SaturatedWormholeTorusNeverInterleavesVcs)
 
 TEST(FlitVcTest, SaturatedVctTorusAuditsClean)
 {
-    TorusConfig cfg = flitTorus(Switching::VirtualCutThrough);
+    FabricConfig cfg = flitGrid(Switching::VirtualCutThrough);
     cfg.offeredLoad = 0.9;
     cfg.common.auditEveryCycles = 1;
     cfg.common.measureCycles = 2000;
-    TorusSimulator sim(cfg);
-    const TorusResult result = sim.run();
+    FabricSimulator sim(cfg);
+    const core::SyncResult result = sim.run();
     ASSERT_GT(result.window.delivered, 0u);
     EXPECT_EQ(sim.faultReport().auditViolations, 0u);
     EXPECT_FALSE(sim.faultReport().watchdogFired);
@@ -242,7 +258,7 @@ TEST(FlitOccupancyTest, WormholeAndVctDivergeOnTwoHopPaths)
     // (buffer, VC) while wormhole packs partial packets behind a
     // blocked head — the occupancy behavior (and with it
     // throughput/latency) must diverge under load.
-    TorusConfig base;
+    FabricConfig base = FabricConfig::torus();
     base.width = 2;
     base.height = 2;
     base.flitsPerPacket = 4;
@@ -253,15 +269,15 @@ TEST(FlitOccupancyTest, WormholeAndVctDivergeOnTwoHopPaths)
     base.common.measureCycles = 2000;
     base.common.auditEveryCycles = 16;
 
-    TorusConfig wormhole = base;
+    FabricConfig wormhole = base;
     wormhole.switching = Switching::Wormhole;
-    TorusSimulator whSim(wormhole);
-    const TorusResult wh = whSim.run();
+    FabricSimulator whSim(wormhole);
+    const core::SyncResult wh = whSim.run();
 
-    TorusConfig vct = base;
+    FabricConfig vct = base;
     vct.switching = Switching::VirtualCutThrough;
-    TorusSimulator vctSim(vct);
-    const TorusResult vc = vctSim.run();
+    FabricSimulator vctSim(vct);
+    const core::SyncResult vc = vctSim.run();
 
     ASSERT_GT(wh.window.delivered, 0u);
     ASSERT_GT(vc.window.delivered, 0u);
@@ -274,7 +290,7 @@ TEST(FlitOccupancyTest, WormholeAndVctDivergeOnTwoHopPaths)
     EXPECT_NE(whSim.snapshotText(), vctSim.snapshotText());
     const bool diverged =
         wh.window.delivered != vc.window.delivered ||
-        wh.latencyCycles.mean() != vc.latencyCycles.mean();
+        wh.latency.mean() != vc.latency.mean();
     EXPECT_TRUE(diverged);
 
     // Wormhole's 1-slot head condition is strictly weaker than
@@ -302,9 +318,10 @@ const core::LengthDistribution kOneToFour{{1.0, 1.0, 1.0, 1.0}};
 
 Observed
 runSharded(Switching switching, std::uint32_t shards,
-           bool variable_lengths = false)
+           bool variable_lengths = false,
+           TopologyKind topology = TopologyKind::Torus)
 {
-    TorusConfig cfg = flitTorus(switching);
+    FabricConfig cfg = flitGrid(switching, topology);
     cfg.width = 8;
     cfg.height = 8;
     cfg.offeredLoad = 0.5;
@@ -313,15 +330,15 @@ runSharded(Switching switching, std::uint32_t shards,
         cfg.common.workload.lengths = kOneToFour;
         cfg.offeredLoad = 0.5 / kOneToFour.mean(); // same flit load
     }
-    TorusSimulator sim(cfg);
-    const TorusResult result = sim.run();
+    FabricSimulator sim(cfg);
+    const core::SyncResult result = sim.run();
     Observed obs;
     obs.delivered = sim.lifetime().delivered;
     obs.injected = sim.lifetime().injected;
     obs.creditsIssued = sim.faultReport().creditsIssued;
     obs.creditsReturned = sim.faultReport().creditsReturned;
-    obs.latencyMean = result.latencyCycles.mean();
-    obs.latencyStddev = result.latencyCycles.stddev();
+    obs.latencyMean = result.latency.mean();
+    obs.latencyStddev = result.latency.stddev();
     obs.latencyP99 = result.latencyP99;
     obs.snapshot = sim.snapshotText();
     return obs;
@@ -365,6 +382,20 @@ TEST(FlitShardTest, VctTorusIsBitIdenticalAcrossShardCounts)
     expectIdentical(one, eight, "vct: 1 vs 8 shards");
 }
 
+TEST(FlitShardTest, VctMeshIsBitIdenticalAcrossShardCounts)
+{
+    const auto mesh = [](std::uint32_t shards) {
+        return runSharded(Switching::VirtualCutThrough, shards, false,
+                          TopologyKind::Mesh);
+    };
+    const Observed one = mesh(1);
+    const Observed two = mesh(2);
+    const Observed eight = mesh(8);
+    ASSERT_GT(one.delivered, 0u);
+    expectIdentical(one, two, "vct mesh: 1 vs 2 shards");
+    expectIdentical(one, eight, "vct mesh: 1 vs 8 shards");
+}
+
 TEST(FlitShardTest, VariableLengthsAreBitIdenticalAcrossShardCounts)
 {
     // The per-packet length draw happens on the coordinator in I1,
@@ -385,7 +416,7 @@ TEST(FlitShardTest, VariableLengthsAreBitIdenticalAcrossShardCounts)
 
 TEST(FlitOmegaTest, WormholeOmegaDrainsWithCreditsClosed)
 {
-    NetworkConfig cfg;
+    FabricConfig cfg;
     cfg.numPorts = 16;
     cfg.radix = 4;
     cfg.slotsPerBuffer = 8;
@@ -396,8 +427,8 @@ TEST(FlitOmegaTest, WormholeOmegaDrainsWithCreditsClosed)
     cfg.common.warmupCycles = 200;
     cfg.common.measureCycles = 800;
     cfg.common.auditEveryCycles = 32;
-    NetworkSimulator sim(cfg);
-    const NetworkResult result = sim.run();
+    FabricSimulator sim(cfg);
+    const core::SyncResult result = sim.run();
     ASSERT_GT(result.window.delivered, 0u);
     EXPECT_TRUE(sim.drain(20000));
     sim.debugValidate();
@@ -411,12 +442,12 @@ TEST(FlitOmegaTest, WormholeOmegaDrainsWithCreditsClosed)
 
 TEST(FlitOffTest, PacketSyncAllocatesNoFlitState)
 {
-    TorusConfig cfg;
+    FabricConfig cfg = FabricConfig::torus();
     cfg.width = 4;
     cfg.height = 4;
     cfg.common.warmupCycles = 100;
     cfg.common.measureCycles = 200;
-    TorusSimulator sim(cfg);
+    FabricSimulator sim(cfg);
     EXPECT_FALSE(sim.syncEngine().flitMode());
     sim.run();
     const FaultReport report = sim.faultReport();
@@ -431,11 +462,11 @@ TEST(FlitAdmissionTest, DynamicThresholdWormholeStaysConformant)
     // Head admission feeds headSlotsNeeded through the admission
     // policy layer; with dynamic threshold installed the credit
     // invariants and the per-cycle flit audit must still close.
-    TorusConfig cfg = flitTorus(Switching::Wormhole);
+    FabricConfig cfg = flitGrid(Switching::Wormhole);
     cfg.sharing.kind = SharingPolicy::DynamicThreshold;
     cfg.sharing.dtAlpha = 1.0;
-    TorusSimulator sim(cfg);
-    const TorusResult result = sim.run();
+    FabricSimulator sim(cfg);
+    const core::SyncResult result = sim.run();
     ASSERT_GT(result.window.delivered, 0u);
     EXPECT_TRUE(sim.drain(20000));
     sim.debugValidate();
@@ -449,15 +480,15 @@ TEST(FlitAdmissionTest, VoqRunsUnderVirtualCutThrough)
 {
     // VCT pre-charges the whole packet at head admission, which is
     // exactly the accounting the VOQ private-slot guarantee needs.
-    TorusConfig cfg = flitTorus(Switching::VirtualCutThrough);
+    FabricConfig cfg = flitGrid(Switching::VirtualCutThrough);
     cfg.bufferType = BufferType::Voq;
     // One whole 4-flit packet per queue on top of each queue's
     // private slot: a VCT head charges flitsPerPacket slots, and
     // the guarantee reserves a slot for every other empty queue,
     // so 10 queues need 10 * flits slots for admission to clear.
     cfg.slotsPerBuffer = 10 * cfg.flitsPerPacket;
-    TorusSimulator sim(cfg);
-    const TorusResult result = sim.run();
+    FabricSimulator sim(cfg);
+    const core::SyncResult result = sim.run();
     ASSERT_GT(result.window.delivered, 0u);
     EXPECT_TRUE(sim.drain(20000));
     sim.debugValidate();
@@ -471,20 +502,20 @@ TEST(FlitAdmissionDeathTest, VoqRejectsWormhole)
     // could eat another queue's private slots — the combination is
     // rejected up front.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    TorusConfig cfg = flitTorus(Switching::Wormhole);
+    FabricConfig cfg = flitGrid(Switching::Wormhole);
     cfg.bufferType = BufferType::Voq;
     cfg.slotsPerBuffer = 12;
-    EXPECT_EXIT({ TorusSimulator sim(cfg); },
+    EXPECT_EXIT({ FabricSimulator sim(cfg); },
                 ::testing::ExitedWithCode(1), "private-slot");
 }
 
 // ----------------------- one timing model: packet vs flit identity
 
 /** The 64-port, radix-4 Omega network (3 stages) at @p load. */
-NetworkConfig
+FabricConfig
 omega64(Switching switching, std::uint32_t flits, double load)
 {
-    NetworkConfig cfg;
+    FabricConfig cfg;
     cfg.switching = switching;
     cfg.flitsPerPacket = flits;
     cfg.offeredLoad = load;
@@ -515,29 +546,29 @@ TEST(FlitIdentityTest, OneFlitPacketsReproducePacketSync)
     // forward must be the packet-synchronized engine bit for bit:
     // counters, exact Welford moments and the occupancy snapshot.
     for (const double load : {0.3, 0.9}) {
-        NetworkSimulator ref(omega64(Switching::PacketSync, 1, load));
-        const NetworkResult want = ref.run();
+        FabricSimulator ref(omega64(Switching::PacketSync, 1, load));
+        const core::SyncResult want = ref.run();
         ASSERT_GT(want.window.delivered, 0u);
         for (const Switching switching :
              {Switching::VirtualCutThrough,
               Switching::StoreAndForward}) {
             SCOPED_TRACE(detail::concat(switchingName(switching),
                                         " at load ", load));
-            NetworkSimulator sim(omega64(switching, 1, load));
+            FabricSimulator sim(omega64(switching, 1, load));
             ASSERT_TRUE(sim.syncEngine().flitMode());
-            const NetworkResult got = sim.run();
+            const core::SyncResult got = sim.run();
             expectSameCounters(got.window, want.window);
             expectSameCounters(sim.lifetime(), ref.lifetime());
-            EXPECT_EQ(got.latencyClocks.count(),
-                      want.latencyClocks.count());
-            EXPECT_EQ(got.latencyClocks.mean(),
-                      want.latencyClocks.mean());
-            EXPECT_EQ(got.latencyClocks.stddev(),
-                      want.latencyClocks.stddev());
-            EXPECT_EQ(got.latencyClocks.min(),
-                      want.latencyClocks.min());
-            EXPECT_EQ(got.latencyClocks.max(),
-                      want.latencyClocks.max());
+            EXPECT_EQ(got.latency.count(),
+                      want.latency.count());
+            EXPECT_EQ(got.latency.mean(),
+                      want.latency.mean());
+            EXPECT_EQ(got.latency.stddev(),
+                      want.latency.stddev());
+            EXPECT_EQ(got.latency.min(),
+                      want.latency.min());
+            EXPECT_EQ(got.latency.max(),
+                      want.latency.max());
             EXPECT_EQ(got.avgSourceQueueLen, want.avgSourceQueueLen);
             EXPECT_EQ(sim.snapshotText(), ref.snapshotText());
         }
@@ -550,20 +581,20 @@ TEST(FlitIdentityTest, EverySwitchingNameBuildsItsOwnModel)
     // packet-sync.  At eight flits per packet each must differ from
     // packet-sync — and from each other.
     const double load = 0.3 / 8; // 0.3 of link capacity
-    NetworkSimulator ref(omega64(Switching::PacketSync, 8, load));
-    const NetworkResult sync = ref.run();
+    FabricSimulator ref(omega64(Switching::PacketSync, 8, load));
+    const core::SyncResult sync = ref.run();
     std::string snapshots[2];
     int i = 0;
     for (const Switching switching :
          {Switching::VirtualCutThrough, Switching::StoreAndForward}) {
         SCOPED_TRACE(switchingName(switching));
-        NetworkConfig cfg = omega64(switching, 8, load);
+        FabricConfig cfg = omega64(switching, 8, load);
         cfg.slotsPerBuffer = 32;
-        NetworkSimulator sim(cfg);
-        const NetworkResult got = sim.run();
+        FabricSimulator sim(cfg);
+        const core::SyncResult got = sim.run();
         ASSERT_GT(got.window.delivered, 0u);
-        EXPECT_NE(got.latencyClocks.mean(),
-                  sync.latencyClocks.mean());
+        EXPECT_NE(got.latency.mean(),
+                  sync.latency.mean());
         EXPECT_NE(got.window.deliveredFlits,
                   sync.window.deliveredFlits);
         snapshots[i++] = sim.snapshotText();
@@ -579,11 +610,11 @@ TEST(FlitIdentityTest, EverySwitchingNameBuildsItsOwnModel)
  * four packets' worth of flit slots per buffer; @p load is a
  * fraction of link capacity (one flit per cycle).
  */
-NetworkConfig
+FabricConfig
 cutThroughConfig(Switching switching, std::uint32_t wire,
                  std::uint32_t route, double load)
 {
-    NetworkConfig cfg;
+    FabricConfig cfg;
     cfg.bufferType = BufferType::Damq;
     cfg.switching = switching;
     cfg.flitsPerPacket = wire;
@@ -601,16 +632,16 @@ double
 unloadedFloor(Switching switching, std::uint32_t wire,
               std::uint32_t route)
 {
-    NetworkConfig cfg = cutThroughConfig(switching, wire, route, 0.005);
+    FabricConfig cfg = cutThroughConfig(switching, wire, route, 0.005);
     cfg.common.measureCycles = 30000;
-    const NetworkResult r = NetworkSimulator(cfg).run();
-    EXPECT_GT(r.latencyClocks.count(), 100u);
-    return r.latencyClocks.min() / kClocksPerNetworkCycle;
+    const core::SyncResult r = FabricSimulator(cfg).run();
+    EXPECT_GT(r.latency.count(), 100u);
+    return r.latency.min() / kClocksPerNetworkCycle;
 }
 
 /** Heads sent before their tail arrived, per head send. */
 double
-cutThroughFraction(const NetworkResult &r)
+cutThroughFraction(const core::SyncResult &r)
 {
     return static_cast<double>(r.window.headsCutThrough) /
            static_cast<double>(3 * r.window.delivered);
@@ -622,9 +653,9 @@ TEST(CutThroughSim, UnloadedVctFloorIsSRPlusWMinusOne)
     // lands W - 1 cycles after the head reaches the sink.
     EXPECT_DOUBLE_EQ(
         unloadedFloor(Switching::VirtualCutThrough, 8, 4), 19.0);
-    NetworkConfig cfg =
+    FabricConfig cfg =
         cutThroughConfig(Switching::VirtualCutThrough, 8, 4, 0.005);
-    const NetworkResult r = NetworkSimulator(cfg).run();
+    const core::SyncResult r = FabricSimulator(cfg).run();
     // Almost every hop past the first switch cuts through; the
     // first switch receives whole packets from its source.
     EXPECT_NEAR(cutThroughFraction(r), 2.0 / 3.0, 0.02);
@@ -635,9 +666,9 @@ TEST(CutThroughSim, UnloadedStoreAndForwardFloor)
     // R + (S-1) * max(W, R) + W - 1 = 4 + 2 * 8 + 7.
     EXPECT_DOUBLE_EQ(unloadedFloor(Switching::StoreAndForward, 8, 4),
                      27.0);
-    NetworkConfig cfg =
+    FabricConfig cfg =
         cutThroughConfig(Switching::StoreAndForward, 8, 4, 0.3);
-    EXPECT_EQ(NetworkSimulator(cfg).run().window.headsCutThrough, 0u);
+    EXPECT_EQ(FabricSimulator(cfg).run().window.headsCutThrough, 0u);
 }
 
 TEST(CutThroughSim, CustomTimingParameters)
@@ -656,40 +687,40 @@ TEST(CutThroughSim, RouteCyclesOneKeepsTheVctFloor)
     // 3 + 8 - 1 = 10 cycles, 120 clocks at 12 clocks per cycle.
     EXPECT_DOUBLE_EQ(
         unloadedFloor(Switching::VirtualCutThrough, 8, 1), 10.0);
-    NetworkConfig cfg;
+    FabricConfig cfg;
     cfg.switching = Switching::VirtualCutThrough;
     cfg.flitsPerPacket = 8;
     cfg.slotsPerBuffer = 32;
     cfg.offeredLoad = 0.05;
     cfg.common.measureCycles = 5000;
-    EXPECT_DOUBLE_EQ(NetworkSimulator(cfg).run().latencyClocks.min(),
+    EXPECT_DOUBLE_EQ(FabricSimulator(cfg).run().latency.min(),
                      120.0);
 }
 
 TEST(CutThroughSim, CutThroughBeatsStoreAndForwardAtModerateLoad)
 {
     const double vct =
-        NetworkSimulator(
+        FabricSimulator(
             cutThroughConfig(Switching::VirtualCutThrough, 8, 4, 0.3))
             .run()
-            .latencyClocks.mean();
+            .latency.mean();
     const double snf =
-        NetworkSimulator(
+        FabricSimulator(
             cutThroughConfig(Switching::StoreAndForward, 8, 4, 0.3))
             .run()
-            .latencyClocks.mean();
+            .latency.mean();
     EXPECT_LT(vct, snf);
 }
 
 TEST(CutThroughSim, DamqCutsThroughMoreThanFifo)
 {
-    NetworkConfig cfg =
+    FabricConfig cfg =
         cutThroughConfig(Switching::VirtualCutThrough, 8, 4, 0.35);
     const double damq =
-        cutThroughFraction(NetworkSimulator(cfg).run());
+        cutThroughFraction(FabricSimulator(cfg).run());
     cfg.bufferType = BufferType::Fifo;
     const double fifo =
-        cutThroughFraction(NetworkSimulator(cfg).run());
+        cutThroughFraction(FabricSimulator(cfg).run());
     // A FIFO head waits for every packet ahead of it in the buffer;
     // a DAMQ head only for its own output's queue.
     EXPECT_GT(damq, fifo);
@@ -697,9 +728,9 @@ TEST(CutThroughSim, DamqCutsThroughMoreThanFifo)
 
 TEST(CutThroughSim, BlockingNeverDiscards)
 {
-    NetworkConfig cfg =
+    FabricConfig cfg =
         cutThroughConfig(Switching::VirtualCutThrough, 8, 4, 0.95);
-    NetworkSimulator sim(cfg);
+    FabricSimulator sim(cfg);
     for (int i = 0; i < 10000; ++i)
         sim.step();
     EXPECT_EQ(sim.lifetime().discarded(), 0u);
@@ -709,22 +740,22 @@ TEST(CutThroughSim, BlockingNeverDiscards)
 
 TEST(CutThroughSim, Deterministic)
 {
-    NetworkConfig cfg =
+    FabricConfig cfg =
         cutThroughConfig(Switching::VirtualCutThrough, 8, 4, 0.3);
     cfg.common.measureCycles = 8000;
-    const NetworkResult a = NetworkSimulator(cfg).run();
-    const NetworkResult b = NetworkSimulator(cfg).run();
+    const core::SyncResult a = FabricSimulator(cfg).run();
+    const core::SyncResult b = FabricSimulator(cfg).run();
     EXPECT_EQ(a.window.delivered, b.window.delivered);
     EXPECT_EQ(a.window.headsCutThrough, b.window.headsCutThrough);
-    EXPECT_EQ(a.latencyClocks.mean(), b.latencyClocks.mean());
+    EXPECT_EQ(a.latency.mean(), b.latency.mean());
 }
 
 TEST(CutThroughSim, DeliversOfferedLoadBelowSaturation)
 {
-    NetworkConfig cfg =
+    FabricConfig cfg =
         cutThroughConfig(Switching::VirtualCutThrough, 8, 4, 0.25);
     cfg.common.measureCycles = 40000;
-    const NetworkResult r = NetworkSimulator(cfg).run();
+    const core::SyncResult r = FabricSimulator(cfg).run();
     EXPECT_NEAR(static_cast<double>(r.window.deliveredFlits) /
                     (64.0 * static_cast<double>(r.measuredCycles)),
                 0.25, 0.02);
@@ -737,11 +768,11 @@ class CutThroughConservation
 
 TEST_P(CutThroughConservation, NothingCreatedOrLost)
 {
-    NetworkConfig cfg = cutThroughConfig(std::get<1>(GetParam()), 8, 4,
+    FabricConfig cfg = cutThroughConfig(std::get<1>(GetParam()), 8, 4,
                                          0.6);
     cfg.bufferType = std::get<0>(GetParam());
     cfg.common.auditEveryCycles = 97;
-    NetworkSimulator sim(cfg);
+    FabricSimulator sim(cfg);
     for (int i = 0; i < 8000; ++i)
         sim.step();
     sim.debugValidate();
@@ -773,10 +804,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 /** 64-port Omega, store-and-forward, 1-4 flit packets, 8 slots;
  *  @p slot_load in flits per endpoint per cycle. */
-NetworkConfig
+FabricConfig
 varLenConfig(double slot_load)
 {
-    NetworkConfig cfg;
+    FabricConfig cfg;
     cfg.bufferType = BufferType::Damq;
     cfg.slotsPerBuffer = 8;
     cfg.switching = Switching::StoreAndForward;
@@ -789,7 +820,7 @@ varLenConfig(double slot_load)
 }
 
 double
-slotThroughput(const NetworkResult &r)
+slotThroughput(const core::SyncResult &r)
 {
     return static_cast<double>(r.window.deliveredFlits) /
            (64.0 * static_cast<double>(r.measuredCycles));
@@ -797,9 +828,9 @@ slotThroughput(const NetworkResult &r)
 
 TEST(VarLenSim, ConservesPackets)
 {
-    NetworkConfig cfg = varLenConfig(0.6);
+    FabricConfig cfg = varLenConfig(0.6);
     cfg.common.auditEveryCycles = 50;
-    NetworkSimulator sim(cfg);
+    FabricSimulator sim(cfg);
     for (int i = 0; i < 800; ++i)
         sim.step();
     sim.debugValidate();
@@ -811,9 +842,9 @@ TEST(VarLenSim, ConservesPackets)
 
 TEST(VarLenSim, DeliversApproximatelyOfferedSlotLoad)
 {
-    NetworkConfig cfg = varLenConfig(0.25);
+    FabricConfig cfg = varLenConfig(0.25);
     cfg.common.measureCycles = 4000;
-    const NetworkResult r = NetworkSimulator(cfg).run();
+    const core::SyncResult r = FabricSimulator(cfg).run();
     EXPECT_NEAR(slotThroughput(r), 0.25, 0.03);
     // Lengths really vary: 2.5 flits per packet on average.
     EXPECT_NEAR(static_cast<double>(r.window.deliveredFlits) /
@@ -823,46 +854,46 @@ TEST(VarLenSim, DeliversApproximatelyOfferedSlotLoad)
 
 TEST(VarLenSim, FixedLengthDegeneratesToBasicBehavior)
 {
-    NetworkConfig cfg = varLenConfig(0.2);
+    FabricConfig cfg = varLenConfig(0.2);
     cfg.common.workload.lengths = core::LengthDistribution{{1.0}};
     cfg.flitsPerPacket = 1;
     cfg.offeredLoad = 0.2;
-    const NetworkResult r = NetworkSimulator(cfg).run();
+    const core::SyncResult r = FabricSimulator(cfg).run();
     ASSERT_GT(r.window.delivered, 0u);
     // One flit takes one cycle per hop, 3 hops, 12 clocks a cycle.
-    EXPECT_DOUBLE_EQ(r.latencyClocks.min(), 36.0);
+    EXPECT_DOUBLE_EQ(r.latency.min(), 36.0);
 }
 
 TEST(VarLenSim, DamqBeatsFifoWithVariableLengths)
 {
     // Section 5's conjecture, at saturation (full offered load).
-    NetworkConfig cfg = varLenConfig(1.0);
+    FabricConfig cfg = varLenConfig(1.0);
     cfg.common.warmupCycles = 500;
     cfg.common.measureCycles = 2500;
     cfg.bufferType = BufferType::Fifo;
-    const double fifo = slotThroughput(NetworkSimulator(cfg).run());
+    const double fifo = slotThroughput(FabricSimulator(cfg).run());
     cfg.bufferType = BufferType::Damq;
-    const double damq = slotThroughput(NetworkSimulator(cfg).run());
+    const double damq = slotThroughput(FabricSimulator(cfg).run());
     EXPECT_GT(damq, fifo * 1.15);
 }
 
 TEST(VarLenSim, Deterministic)
 {
-    const NetworkConfig cfg = varLenConfig(0.3);
-    const NetworkResult a = NetworkSimulator(cfg).run();
-    const NetworkResult b = NetworkSimulator(cfg).run();
+    const FabricConfig cfg = varLenConfig(0.3);
+    const core::SyncResult a = FabricSimulator(cfg).run();
+    const core::SyncResult b = FabricSimulator(cfg).run();
     EXPECT_EQ(a.window.delivered, b.window.delivered);
     EXPECT_EQ(a.window.deliveredFlits, b.window.deliveredFlits);
 }
 
 TEST(VarLenSim, SamqPartitionsAlsoRun)
 {
-    NetworkConfig cfg = varLenConfig(0.3);
+    FabricConfig cfg = varLenConfig(0.3);
     cfg.bufferType = BufferType::Samq;
     cfg.slotsPerBuffer = 16; // 4 per partition, fits a max packet
     cfg.common.auditEveryCycles = 50;
-    NetworkSimulator sim(cfg);
-    const NetworkResult r = sim.run();
+    FabricSimulator sim(cfg);
+    const core::SyncResult r = sim.run();
     EXPECT_GT(r.window.delivered, 0u);
     sim.debugValidate();
     EXPECT_EQ(sim.faultReport().auditViolations, 0u);
@@ -884,9 +915,9 @@ TEST_F(FlitConfigDeathTest, DiscardingIsRejected)
     for (const Switching switching :
          {Switching::StoreAndForward, Switching::Wormhole,
           Switching::VirtualCutThrough}) {
-        NetworkConfig cfg = omega64(switching, 4, 0.1);
+        FabricConfig cfg = omega64(switching, 4, 0.1);
         cfg.protocol = FlowControl::Discarding;
-        EXPECT_EXIT({ NetworkSimulator sim(cfg); },
+        EXPECT_EXIT({ FabricSimulator sim(cfg); },
                     ::testing::ExitedWithCode(1),
                     "cannot use the discarding protocol");
     }
@@ -894,57 +925,57 @@ TEST_F(FlitConfigDeathTest, DiscardingIsRejected)
 
 TEST_F(FlitConfigDeathTest, LossyFaultClassesAreRejected)
 {
-    NetworkConfig cfg = omega64(Switching::VirtualCutThrough, 4, 0.1);
+    FabricConfig cfg = omega64(Switching::VirtualCutThrough, 4, 0.1);
     cfg.common.faults.packetDropRate = 0.002;
-    EXPECT_EXIT({ NetworkSimulator sim(cfg); },
+    EXPECT_EXIT({ FabricSimulator sim(cfg); },
                 ::testing::ExitedWithCode(1),
                 "supports only the arbiter-stuck and credit-delay");
     cfg = omega64(Switching::StoreAndForward, 4, 0.1);
     cfg.common.faults.headerBitFlipRate = 0.002;
-    EXPECT_EXIT({ NetworkSimulator sim(cfg); },
+    EXPECT_EXIT({ FabricSimulator sim(cfg); },
                 ::testing::ExitedWithCode(1),
                 "supports only the arbiter-stuck and credit-delay");
 }
 
 TEST_F(FlitConfigDeathTest, RouteCyclesNeedFlitSwitching)
 {
-    NetworkConfig cfg = omega64(Switching::PacketSync, 1, 0.1);
+    FabricConfig cfg = omega64(Switching::PacketSync, 1, 0.1);
     cfg.routeCycles = 4;
-    EXPECT_EXIT({ NetworkSimulator sim(cfg); },
+    EXPECT_EXIT({ FabricSimulator sim(cfg); },
                 ::testing::ExitedWithCode(1),
                 "routeCycles 4 needs flit-level switching");
     cfg = omega64(Switching::VirtualCutThrough, 4, 0.1);
     cfg.routeCycles = 0;
-    EXPECT_EXIT({ NetworkSimulator sim(cfg); },
+    EXPECT_EXIT({ FabricSimulator sim(cfg); },
                 ::testing::ExitedWithCode(1),
                 "routeCycles must be at least 1");
 }
 
 TEST_F(FlitConfigDeathTest, VariableLengthsNeedFlitSwitching)
 {
-    NetworkConfig cfg = omega64(Switching::PacketSync, 1, 0.1);
+    FabricConfig cfg = omega64(Switching::PacketSync, 1, 0.1);
     cfg.common.workload.lengths = kOneToFour;
-    EXPECT_EXIT({ NetworkSimulator sim(cfg); },
+    EXPECT_EXIT({ FabricSimulator sim(cfg); },
                 ::testing::ExitedWithCode(1),
                 "variable packet lengths need flit-level switching");
     // A one-length distribution would never be drawn from.
     cfg = omega64(Switching::VirtualCutThrough, 4, 0.1);
     cfg.common.workload.lengths =
         core::LengthDistribution{{0.0, 0.0, 1.0}};
-    EXPECT_EXIT({ NetworkSimulator sim(cfg); },
+    EXPECT_EXIT({ FabricSimulator sim(cfg); },
                 ::testing::ExitedWithCode(1),
                 "set a single length through flitsPerPacket");
 }
 
 TEST_F(FlitConfigDeathTest, VariableLengthsRejectTraceReplay)
 {
-    NetworkConfig cfg = omega64(Switching::VirtualCutThrough, 4, 0.1);
+    FabricConfig cfg = omega64(Switching::VirtualCutThrough, 4, 0.1);
     const std::string path = ::testing::TempDir() + "varlen.trace";
     core::writeWorkloadTrace(path, {{1, 0, 5}, {2, 3, 9}});
     cfg.common.workload.kind = core::WorkloadKind::Trace;
     cfg.common.workload.traceFile = path;
     cfg.common.workload.lengths = kOneToFour;
-    EXPECT_EXIT({ NetworkSimulator sim(cfg); },
+    EXPECT_EXIT({ FabricSimulator sim(cfg); },
                 ::testing::ExitedWithCode(1),
                 "trace workload cannot replay variable packet lengths");
 }
@@ -968,13 +999,14 @@ TEST(SwitchingFlagsTest, DefaultsLeaveBenchConfigUntouched)
     ArgParser args("t", "t");
     addSwitchingFlags(args, "packet-sync", "blocking");
     parseArgs(args, {});
-    Switching switching = Switching::StoreAndForward;
-    FlowControl protocol = FlowControl::Discarding;
-    std::uint32_t flits = 7;
-    applySwitchingFlags(args, switching, protocol, flits);
-    EXPECT_EQ(switching, Switching::StoreAndForward);
-    EXPECT_EQ(protocol, FlowControl::Discarding);
-    EXPECT_EQ(flits, 7u);
+    FabricConfig cfg;
+    cfg.switching = Switching::StoreAndForward;
+    cfg.protocol = FlowControl::Discarding;
+    cfg.flitsPerPacket = 7;
+    applySwitchingFlags(args, cfg);
+    EXPECT_EQ(cfg.switching, Switching::StoreAndForward);
+    EXPECT_EQ(cfg.protocol, FlowControl::Discarding);
+    EXPECT_EQ(cfg.flitsPerPacket, 7u);
 }
 
 TEST(SwitchingFlagsTest, CanonicalFlagsSetEveryField)
@@ -983,13 +1015,11 @@ TEST(SwitchingFlagsTest, CanonicalFlagsSetEveryField)
     addSwitchingFlags(args, "packet-sync", "blocking");
     parseArgs(args, {"--switching", "vct", "--flow-control",
                      "on-off", "--flits-per-packet", "6"});
-    Switching switching = Switching::PacketSync;
-    FlowControl protocol = FlowControl::Blocking;
-    std::uint32_t flits = 4;
-    applySwitchingFlags(args, switching, protocol, flits);
-    EXPECT_EQ(switching, Switching::VirtualCutThrough);
-    EXPECT_EQ(protocol, FlowControl::OnOff);
-    EXPECT_EQ(flits, 6u);
+    FabricConfig cfg;
+    applySwitchingFlags(args, cfg);
+    EXPECT_EQ(cfg.switching, Switching::VirtualCutThrough);
+    EXPECT_EQ(cfg.protocol, FlowControl::OnOff);
+    EXPECT_EQ(cfg.flitsPerPacket, 6u);
 }
 
 TEST(SwitchingFlagsDeathTest, RemovedModeAliasIsRejected)
@@ -1018,12 +1048,41 @@ TEST(SwitchingFlagsDeathTest, BadSwitchingValueExitsWithUsage)
     ArgParser args("t", "t");
     addSwitchingFlags(args, "packet-sync", "blocking");
     parseArgs(args, {"--switching", "warp"});
-    Switching switching = Switching::PacketSync;
-    FlowControl protocol = FlowControl::Blocking;
-    std::uint32_t flits = 4;
-    EXPECT_EXIT(
-        applySwitchingFlags(args, switching, protocol, flits),
-        testing::ExitedWithCode(1), "unknown switching mode");
+    FabricConfig cfg;
+    EXPECT_EXIT(applySwitchingFlags(args, cfg),
+                testing::ExitedWithCode(1), "unknown switching mode");
+}
+
+TEST(SwitchingFlagsDeathTest, FlitCountUnderPacketSyncIsRejected)
+{
+    // Packet-sync packets are one slot long; a flit count would be
+    // silently ignored, so the flag set is refused instead —
+    // whether packet-sync comes from the bench default or from an
+    // explicit --switching.
+    ArgParser args("t", "t");
+    addSwitchingFlags(args, "packet-sync", "blocking");
+    parseArgs(args, {"--flits-per-packet", "8"});
+    FabricConfig cfg;
+    EXPECT_EXIT(applySwitchingFlags(args, cfg),
+                testing::ExitedWithCode(1),
+                "--flits-per-packet 8 needs a flit-level --switching");
+
+    ArgParser spelled("t", "t");
+    addSwitchingFlags(spelled, "vct", "blocking");
+    parseArgs(spelled, {"--switching", "packet-sync",
+                        "--flits-per-packet", "8"});
+    FabricConfig vct;
+    vct.switching = Switching::VirtualCutThrough;
+    EXPECT_EXIT(applySwitchingFlags(spelled, vct),
+                testing::ExitedWithCode(1), "--switching");
+
+    // 0 keeps the bench default and is accepted under packet-sync.
+    ArgParser keep("t", "t");
+    addSwitchingFlags(keep, "packet-sync", "blocking");
+    parseArgs(keep, {"--flits-per-packet", "0"});
+    FabricConfig plain;
+    applySwitchingFlags(keep, plain);
+    EXPECT_EQ(plain.switching, Switching::PacketSync);
 }
 
 } // namespace

@@ -10,16 +10,16 @@
 #include <gtest/gtest.h>
 
 #include "markov/switch2x2.hh"
-#include "network/network_sim.hh"
+#include "network/fabric_sim.hh"
 #include "network/saturation.hh"
 
 namespace damq {
 namespace {
 
-NetworkConfig
+FabricConfig
 paperConfig()
 {
-    NetworkConfig cfg;
+    FabricConfig cfg;
     cfg.numPorts = 64;
     cfg.radix = 4;
     cfg.slotsPerBuffer = 4;
@@ -57,7 +57,7 @@ TEST(PaperClaims, Table4SaturationOrdering)
 {
     // DAMQ saturates highest; all four saturate somewhere in
     // (0.3, 1.0); DAMQ's margin over FIFO is large (paper: +40 %).
-    NetworkConfig cfg = paperConfig();
+    FabricConfig cfg = paperConfig();
     double sat[4];
     const BufferType types[4] = {BufferType::Fifo, BufferType::Samq,
                                  BufferType::Safc, BufferType::Damq};
@@ -78,7 +78,7 @@ TEST(PaperClaims, LatenciesNearlyEqualBelowSaturation)
 {
     // Table 4: at loads <= 0.4 buffer type barely matters... at
     // 0.25 the four are within a few clocks of each other.
-    NetworkConfig cfg = paperConfig();
+    FabricConfig cfg = paperConfig();
     double lat[4];
     const BufferType types[4] = {BufferType::Fifo, BufferType::Samq,
                                  BufferType::Safc, BufferType::Damq};
@@ -95,14 +95,14 @@ TEST(PaperClaims, LatenciesNearlyEqualBelowSaturation)
 TEST(PaperClaims, DiscardingDamqDiscardsFarLessThanFifo)
 {
     // Table 3 shape at 0.5 offered load.
-    NetworkConfig cfg = paperConfig();
+    FabricConfig cfg = paperConfig();
     cfg.protocol = FlowControl::Discarding;
     cfg.offeredLoad = 0.5;
 
     cfg.bufferType = BufferType::Fifo;
-    const double fifo = NetworkSimulator(cfg).run().discardFraction;
+    const double fifo = FabricSimulator(cfg).run().discardFraction;
     cfg.bufferType = BufferType::Damq;
-    const double damq = NetworkSimulator(cfg).run().discardFraction;
+    const double damq = FabricSimulator(cfg).run().discardFraction;
 
     EXPECT_GT(fifo, 0.0);
     EXPECT_LT(damq, fifo * 0.5);
@@ -111,15 +111,15 @@ TEST(PaperClaims, DiscardingDamqDiscardsFarLessThanFifo)
 TEST(PaperClaims, DumbAndSmartArbitrationSimilarBelowSaturation)
 {
     // Table 3's observation: at 0.5 offered, dumb ~ smart.
-    NetworkConfig cfg = paperConfig();
+    FabricConfig cfg = paperConfig();
     cfg.protocol = FlowControl::Discarding;
     cfg.offeredLoad = 0.5;
     cfg.bufferType = BufferType::Damq;
 
     cfg.arbitration = ArbitrationPolicy::Smart;
-    const double smart = NetworkSimulator(cfg).run().discardFraction;
+    const double smart = FabricSimulator(cfg).run().discardFraction;
     cfg.arbitration = ArbitrationPolicy::Dumb;
-    const double dumb = NetworkSimulator(cfg).run().discardFraction;
+    const double dumb = FabricSimulator(cfg).run().discardFraction;
 
     EXPECT_NEAR(smart, dumb, 0.02);
 }
@@ -128,7 +128,7 @@ TEST(PaperClaims, MoreSlotsBarelyMoveDamqSaturation)
 {
     // Table 5: DAMQ's saturation moves little from 4 to 8 slots
     // (the control logic, not the storage, is what matters).
-    NetworkConfig cfg = paperConfig();
+    FabricConfig cfg = paperConfig();
     cfg.bufferType = BufferType::Damq;
     cfg.slotsPerBuffer = 4;
     const double four = measureSaturation(cfg).saturationThroughput;
@@ -140,7 +140,7 @@ TEST(PaperClaims, MoreSlotsBarelyMoveDamqSaturation)
 
 TEST(PaperClaims, FifoGainsMoreFromExtraSlotsThanDamq)
 {
-    NetworkConfig cfg = paperConfig();
+    FabricConfig cfg = paperConfig();
     cfg.bufferType = BufferType::Fifo;
     cfg.slotsPerBuffer = 3;
     const double fifo3 = measureSaturation(cfg).saturationThroughput;
@@ -158,7 +158,7 @@ TEST(PaperClaims, HotSpotEqualizesAllBufferTypes)
 {
     // Table 6: with 5 % hot-spot traffic everything tree-saturates
     // at the same throughput (~0.24).
-    NetworkConfig cfg = paperConfig();
+    FabricConfig cfg = paperConfig();
     cfg.traffic = "hotspot";
     cfg.common.warmupCycles = 1500;
     cfg.common.measureCycles = 2500;

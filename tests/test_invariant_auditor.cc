@@ -16,7 +16,7 @@
 
 #include "fault/invariant_auditor.hh"
 #include "fault/watchdog.hh"
-#include "network/network_sim.hh"
+#include "network/fabric_sim.hh"
 #include "queueing/buffer_factory.hh"
 #include "queueing/damq_buffer.hh"
 #include "queueing/damq_reserved_buffer.hh"
@@ -177,7 +177,7 @@ TEST(InvariantAudit, OutOfRangeGrantIsIllegal)
 
 TEST(InvariantAudit, NetworkAuditCatchesInjectedSlotLeaks)
 {
-    NetworkConfig cfg;
+    FabricConfig cfg;
     cfg.numPorts = 16;
     cfg.radix = 4;
     cfg.offeredLoad = 0.4;
@@ -187,7 +187,7 @@ TEST(InvariantAudit, NetworkAuditCatchesInjectedSlotLeaks)
     cfg.common.faults.slotLeakRate = 0.02;
     cfg.common.auditEveryCycles = 25;
 
-    NetworkSimulator sim(cfg);
+    FabricSimulator sim(cfg);
     sim.run();
     const FaultReport report = sim.faultReport();
 
@@ -203,7 +203,7 @@ TEST(InvariantAudit, NetworkAuditCatchesInjectedSlotLeaks)
 
 TEST(InvariantAudit, WatchdogCatchesStuckArbiterWedge)
 {
-    NetworkConfig cfg;
+    FabricConfig cfg;
     cfg.numPorts = 16;
     cfg.radix = 4;
     cfg.offeredLoad = 0.5;
@@ -213,7 +213,7 @@ TEST(InvariantAudit, WatchdogCatchesStuckArbiterWedge)
     cfg.common.faults.arbiterStuckRate = 1.0; // every arbiter, every cycle
     cfg.common.watchdogStallCycles = 50;
 
-    NetworkSimulator sim(cfg);
+    FabricSimulator sim(cfg);
     sim.run();
     const FaultReport report = sim.faultReport();
 
@@ -233,13 +233,13 @@ TEST(InvariantAudit, WatchdogCatchesStuckArbiterWedge)
 
 TEST(InvariantAudit, SnapshotIsDeterministic)
 {
-    NetworkConfig cfg;
+    FabricConfig cfg;
     cfg.numPorts = 16;
     cfg.radix = 4;
     cfg.offeredLoad = 0.5;
 
-    NetworkSimulator a(cfg);
-    NetworkSimulator b(cfg);
+    FabricSimulator a(cfg);
+    FabricSimulator b(cfg);
     for (int c = 0; c < 200; ++c) {
         a.step();
         b.step();

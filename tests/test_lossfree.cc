@@ -13,7 +13,7 @@
 
 #include <string>
 
-#include "network/network_sim.hh"
+#include "network/fabric_sim.hh"
 
 namespace damq {
 namespace {
@@ -32,7 +32,7 @@ TEST_P(LossFree, BlockingNetworkLosesNothing)
 {
     const LossFreeCase &param = GetParam();
 
-    NetworkConfig cfg;
+    FabricConfig cfg;
     cfg.numPorts = 16;
     cfg.radix = 4;
     cfg.bufferType = param.type;
@@ -48,7 +48,7 @@ TEST_P(LossFree, BlockingNetworkLosesNothing)
     cfg.common.auditEveryCycles = 100; // conservation checked all along
     cfg.common.seed = 88;
 
-    NetworkSimulator sim(cfg);
+    FabricSimulator sim(cfg);
     sim.run();
 
     // Blocking flow control never discards.

@@ -8,15 +8,16 @@
 
 #include <gtest/gtest.h>
 
-#include "network/mesh_sim.hh"
+#include "network/core/grid_topology.hh"
+#include "network/fabric_sim.hh"
 
 namespace damq {
 namespace {
 
-MeshConfig
+FabricConfig
 baseConfig()
 {
-    MeshConfig cfg;
+    FabricConfig cfg = FabricConfig::mesh();
     cfg.width = 8;
     cfg.height = 8;
     cfg.bufferType = BufferType::Damq;
@@ -31,8 +32,8 @@ baseConfig()
 
 TEST(MeshSim, XyRoutingDecisions)
 {
-    MeshConfig cfg = baseConfig();
-    MeshSimulator sim(cfg);
+    FabricConfig cfg = baseConfig();
+    FabricSimulator sim(cfg);
     // Node (1,1) = 9 in an 8-wide mesh.
     EXPECT_EQ(sim.routeFrom(9, 9), kLocal);
     EXPECT_EQ(sim.routeFrom(9, 10), kEast);  // (2,1)
@@ -45,8 +46,8 @@ TEST(MeshSim, XyRoutingDecisions)
 
 TEST(MeshSim, NeighborWiringIsSymmetric)
 {
-    MeshConfig cfg = baseConfig();
-    MeshSimulator sim(cfg);
+    FabricConfig cfg = baseConfig();
+    FabricSimulator sim(cfg);
     const auto [east, in_port] = sim.neighbor(9, kEast);
     EXPECT_EQ(east, 10u);
     EXPECT_EQ(in_port, kWest);
@@ -60,19 +61,19 @@ TEST(MeshSim, NeighborWiringIsSymmetric)
 
 TEST(MeshSim, UnloadedLatencyIsManhattanPlusOne)
 {
-    MeshConfig cfg = baseConfig();
+    FabricConfig cfg = baseConfig();
     cfg.offeredLoad = 0.005;
     cfg.traffic = "transpose"; // deterministic distances
     cfg.common.measureCycles = 20000;
-    MeshSimulator sim(cfg);
-    const MeshResult r = sim.run();
-    ASSERT_GT(r.latencyCycles.count(), 0u);
+    FabricSimulator sim(cfg);
+    const core::SyncResult r = sim.run();
+    ASSERT_GT(r.latency.count(), 0u);
     // Transpose on an 8x8 grid: distance |x-y|*2 in {0,2,...,14};
     // minimum non-trivial sample has latency >= 1 and every
     // delivery at distance d takes exactly d + 1 unloaded.
     // Average distance = E|x-y|*2 = 5.25 -> latency 6.25.
-    EXPECT_NEAR(r.latencyCycles.mean(), 6.25, 0.15);
-    EXPECT_NEAR(r.avgHops + 1.0, r.latencyCycles.mean(), 0.15);
+    EXPECT_NEAR(r.latency.mean(), 6.25, 0.15);
+    EXPECT_NEAR(r.hops.mean() + 1.0, r.latency.mean(), 0.15);
 }
 
 class MeshConservation
@@ -83,11 +84,11 @@ class MeshConservation
 
 TEST_P(MeshConservation, NothingCreatedOrLost)
 {
-    MeshConfig cfg = baseConfig();
+    FabricConfig cfg = baseConfig();
     cfg.bufferType = std::get<0>(GetParam());
     cfg.protocol = std::get<1>(GetParam());
     cfg.offeredLoad = 0.5;
-    MeshSimulator sim(cfg);
+    FabricSimulator sim(cfg);
     for (int i = 0; i < 2000; ++i)
         sim.step();
     sim.debugValidate();
@@ -116,12 +117,12 @@ TEST(MeshSim, SaturationDoesNotDeadlock)
 {
     // XY routing is deadlock-free: even at full offered load the
     // mesh keeps delivering.
-    MeshConfig cfg = baseConfig();
+    FabricConfig cfg = baseConfig();
     cfg.offeredLoad = 1.0;
     cfg.common.warmupCycles = 2000;
     cfg.common.measureCycles = 4000;
-    MeshSimulator sim(cfg);
-    const MeshResult r = sim.run();
+    FabricSimulator sim(cfg);
+    const core::SyncResult r = sim.run();
     EXPECT_GT(r.window.delivered, 0u);
     EXPECT_GT(r.deliveredThroughput, 0.05);
     EXPECT_EQ(sim.lifetime().discarded(), 0u); // blocking
@@ -129,46 +130,46 @@ TEST(MeshSim, SaturationDoesNotDeadlock)
 
 TEST(MeshSim, DamqBeatsFifoOnUniformTraffic)
 {
-    MeshConfig cfg = baseConfig();
+    FabricConfig cfg = baseConfig();
     cfg.offeredLoad = 1.0;
     cfg.common.warmupCycles = 1500;
     cfg.common.measureCycles = 5000;
     cfg.bufferType = BufferType::Fifo;
     const double fifo =
-        MeshSimulator(cfg).run().deliveredThroughput;
+        FabricSimulator(cfg).run().deliveredThroughput;
     cfg.bufferType = BufferType::Damq;
     const double damq =
-        MeshSimulator(cfg).run().deliveredThroughput;
+        FabricSimulator(cfg).run().deliveredThroughput;
     EXPECT_GT(damq, fifo * 1.1);
 }
 
 TEST(MeshSim, TransposeTrafficDelivers)
 {
-    MeshConfig cfg = baseConfig();
+    FabricConfig cfg = baseConfig();
     cfg.traffic = "transpose";
     cfg.offeredLoad = 0.15;
-    MeshSimulator sim(cfg);
-    const MeshResult r = sim.run();
+    FabricSimulator sim(cfg);
+    const core::SyncResult r = sim.run();
     EXPECT_NEAR(r.deliveredThroughput, 0.15, 0.02);
     EXPECT_EQ(r.window.misrouted, 0u);
 }
 
 TEST(MeshSim, Deterministic)
 {
-    MeshConfig cfg = baseConfig();
-    const MeshResult a = MeshSimulator(cfg).run();
-    const MeshResult b = MeshSimulator(cfg).run();
+    FabricConfig cfg = baseConfig();
+    const core::SyncResult a = FabricSimulator(cfg).run();
+    const core::SyncResult b = FabricSimulator(cfg).run();
     EXPECT_EQ(a.window.delivered, b.window.delivered);
-    EXPECT_DOUBLE_EQ(a.latencyCycles.mean(), b.latencyCycles.mean());
+    EXPECT_DOUBLE_EQ(a.latency.mean(), b.latency.mean());
 }
 
 TEST(MeshSim, RectangularMeshesWork)
 {
-    MeshConfig cfg = baseConfig();
+    FabricConfig cfg = baseConfig();
     cfg.width = 4;
     cfg.height = 16;
-    MeshSimulator sim(cfg);
-    const MeshResult r = sim.run();
+    FabricSimulator sim(cfg);
+    const core::SyncResult r = sim.run();
     EXPECT_GT(r.window.delivered, 0u);
     EXPECT_EQ(r.window.misrouted, 0u);
 }

@@ -7,16 +7,16 @@
 
 #include <gtest/gtest.h>
 
-#include "network/network_sim.hh"
+#include "network/fabric_sim.hh"
 #include "network/saturation.hh"
 
 namespace damq {
 namespace {
 
-NetworkConfig
+FabricConfig
 baseConfig()
 {
-    NetworkConfig cfg;
+    FabricConfig cfg;
     cfg.numPorts = 64;
     cfg.radix = 4;
     cfg.bufferType = BufferType::Damq;
@@ -39,11 +39,11 @@ class ConservationTest
 
 TEST_P(ConservationTest, NoPacketIsCreatedOrLost)
 {
-    NetworkConfig cfg = baseConfig();
+    FabricConfig cfg = baseConfig();
     cfg.bufferType = std::get<0>(GetParam());
     cfg.protocol = std::get<1>(GetParam());
     cfg.offeredLoad = 0.6; // stress it
-    NetworkSimulator sim(cfg);
+    FabricSimulator sim(cfg);
     for (int i = 0; i < 500; ++i)
         sim.step();
     sim.debugValidate();
@@ -76,10 +76,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(NetworkSim, BlockingNeverDiscards)
 {
-    NetworkConfig cfg = baseConfig();
+    FabricConfig cfg = baseConfig();
     cfg.offeredLoad = 0.95;
     cfg.bufferType = BufferType::Fifo; // most congested
-    NetworkSimulator sim(cfg);
+    FabricSimulator sim(cfg);
     for (int i = 0; i < 1000; ++i)
         sim.step();
     EXPECT_EQ(sim.lifetime().discarded(), 0u);
@@ -87,10 +87,10 @@ TEST(NetworkSim, BlockingNeverDiscards)
 
 TEST(NetworkSim, DiscardingNeverQueuesAtSources)
 {
-    NetworkConfig cfg = baseConfig();
+    FabricConfig cfg = baseConfig();
     cfg.protocol = FlowControl::Discarding;
     cfg.offeredLoad = 0.9;
-    NetworkSimulator sim(cfg);
+    FabricSimulator sim(cfg);
     for (int i = 0; i < 500; ++i)
         sim.step();
     EXPECT_EQ(sim.packetsAtSources(), 0u);
@@ -99,20 +99,20 @@ TEST(NetworkSim, DiscardingNeverQueuesAtSources)
 
 TEST(NetworkSim, MinimumLatencyIsThreeHops)
 {
-    NetworkConfig cfg = baseConfig();
+    FabricConfig cfg = baseConfig();
     cfg.offeredLoad = 0.01; // nearly empty network
     cfg.common.measureCycles = 3000;
-    NetworkSimulator sim(cfg);
-    const NetworkResult result = sim.run();
-    ASSERT_GT(result.latencyClocks.count(), 0u);
+    FabricSimulator sim(cfg);
+    const core::SyncResult result = sim.run();
+    ASSERT_GT(result.latency.count(), 0u);
     // 3 stages x 12 clocks with almost no queueing.
-    EXPECT_DOUBLE_EQ(result.latencyClocks.min(), 36.0);
-    EXPECT_LT(result.latencyClocks.mean(), 40.0);
+    EXPECT_DOUBLE_EQ(result.latency.min(), 36.0);
+    EXPECT_LT(result.latency.mean(), 40.0);
 }
 
 TEST(NetworkSim, LatencyGrowsWithLoad)
 {
-    NetworkConfig cfg = baseConfig();
+    FabricConfig cfg = baseConfig();
     const double low = latencyAtLoad(cfg, 0.1);
     const double high = latencyAtLoad(cfg, 0.6);
     EXPECT_GT(high, low);
@@ -120,33 +120,33 @@ TEST(NetworkSim, LatencyGrowsWithLoad)
 
 TEST(NetworkSim, SameSeedSameResult)
 {
-    NetworkConfig cfg = baseConfig();
-    NetworkSimulator a(cfg);
-    NetworkSimulator b(cfg);
-    const NetworkResult ra = a.run();
-    const NetworkResult rb = b.run();
+    FabricConfig cfg = baseConfig();
+    FabricSimulator a(cfg);
+    FabricSimulator b(cfg);
+    const core::SyncResult ra = a.run();
+    const core::SyncResult rb = b.run();
     EXPECT_EQ(ra.window.delivered, rb.window.delivered);
     EXPECT_EQ(ra.window.generated, rb.window.generated);
-    EXPECT_DOUBLE_EQ(ra.latencyClocks.mean(),
-                     rb.latencyClocks.mean());
+    EXPECT_DOUBLE_EQ(ra.latency.mean(),
+                     rb.latency.mean());
 }
 
 TEST(NetworkSim, DifferentSeedsDiffer)
 {
-    NetworkConfig cfg = baseConfig();
-    NetworkSimulator a(cfg);
+    FabricConfig cfg = baseConfig();
+    FabricSimulator a(cfg);
     cfg.common.seed = 999;
-    NetworkSimulator b(cfg);
+    FabricSimulator b(cfg);
     EXPECT_NE(a.run().window.generated, b.run().window.generated);
 }
 
 TEST(NetworkSim, DeliveredMatchesOfferedBelowSaturation)
 {
-    NetworkConfig cfg = baseConfig();
+    FabricConfig cfg = baseConfig();
     cfg.offeredLoad = 0.25;
     cfg.common.measureCycles = 4000;
-    NetworkSimulator sim(cfg);
-    const NetworkResult result = sim.run();
+    FabricSimulator sim(cfg);
+    const core::SyncResult result = sim.run();
     EXPECT_NEAR(result.deliveredThroughput, 0.25, 0.02);
 }
 
@@ -154,7 +154,7 @@ TEST(NetworkSim, DamqSaturatesWellAboveFifo)
 {
     // The paper's headline: ~40 % higher saturation throughput with
     // four slots per buffer.  Use short runs; the gap is large.
-    NetworkConfig cfg = baseConfig();
+    FabricConfig cfg = baseConfig();
     cfg.common.warmupCycles = 400;
     cfg.common.measureCycles = 2500;
 
@@ -170,7 +170,7 @@ TEST(NetworkSim, HotSpotTreeSaturationCapsThroughput)
 {
     // With 5 % hot-spot traffic the asymptotic cap is
     // 1 / (64 * (0.05 + 0.95/64)) ~ 0.24 regardless of buffers.
-    NetworkConfig cfg = baseConfig();
+    FabricConfig cfg = baseConfig();
     cfg.traffic = "hotspot";
     cfg.common.warmupCycles = 1500;
     cfg.common.measureCycles = 3000;
@@ -185,37 +185,38 @@ TEST(NetworkSim, HotSpotTreeSaturationCapsThroughput)
 
 TEST(NetworkSim, PermutationTrafficDeliversEverything)
 {
-    NetworkConfig cfg = baseConfig();
+    FabricConfig cfg = baseConfig();
     cfg.traffic = "bitrev";
     cfg.offeredLoad = 0.2;
-    NetworkSimulator sim(cfg);
-    const NetworkResult result = sim.run();
+    FabricSimulator sim(cfg);
+    const core::SyncResult result = sim.run();
     EXPECT_GT(result.window.delivered, 0u);
     EXPECT_EQ(result.window.misrouted, 0u);
 }
 
 TEST(NetworkSim, SmallRadixNetworksWork)
 {
-    NetworkConfig cfg = baseConfig();
+    FabricConfig cfg = baseConfig();
     cfg.radix = 2;
     cfg.slotsPerBuffer = 4;
-    NetworkSimulator sim(cfg); // 6 stages of 2x2
-    EXPECT_EQ(sim.topology().numStages(), 6u);
-    const NetworkResult result = sim.run();
+    FabricSimulator sim(cfg); // 6 stages of 2x2
+    EXPECT_EQ(sim.omega().numStages(), 6u);
+    const core::SyncResult result = sim.run();
     EXPECT_GT(result.window.delivered, 0u);
     // 6 stages -> 72-clock floor.
-    EXPECT_GE(result.latencyClocks.min(), 72.0);
+    EXPECT_GE(result.latency.min(), 72.0);
 }
 
 TEST(NetworkSim, BurstySourcesKeepTheAverageRate)
 {
-    NetworkConfig cfg = baseConfig();
+    FabricConfig cfg = baseConfig();
     cfg.offeredLoad = 0.25;
-    cfg.burstiness = 3.0;
-    cfg.meanBurstCycles = 8;
+    cfg.common.workload.kind = core::WorkloadKind::OnOff;
+    cfg.common.workload.burstiness = 3.0;
+    cfg.common.workload.meanBurstCycles = 8;
     cfg.common.measureCycles = 20000;
-    NetworkSimulator sim(cfg);
-    const NetworkResult r = sim.run();
+    FabricSimulator sim(cfg);
+    const core::SyncResult r = sim.run();
     const double gen_rate =
         static_cast<double>(r.window.generated) /
         (static_cast<double>(cfg.numPorts) * cfg.common.measureCycles);
@@ -224,25 +225,24 @@ TEST(NetworkSim, BurstySourcesKeepTheAverageRate)
 
 TEST(NetworkSim, BurstinessRaisesLatencyAtFixedLoad)
 {
-    NetworkConfig cfg = baseConfig();
+    FabricConfig cfg = baseConfig();
     cfg.offeredLoad = 0.3;
     cfg.common.measureCycles = 8000;
-    const double smooth = NetworkSimulator(cfg).run()
-                              .latencyClocks.mean();
-    cfg.burstiness = 3.0;
-    const double bursty = NetworkSimulator(cfg).run()
-                              .latencyClocks.mean();
+    const double smooth = FabricSimulator(cfg).run().latency.mean();
+    cfg.common.workload.kind = core::WorkloadKind::OnOff;
+    cfg.common.workload.burstiness = 3.0;
+    const double bursty = FabricSimulator(cfg).run().latency.mean();
     EXPECT_GT(bursty, smooth);
 }
 
 TEST(NetworkSim, FairnessIndexNearOneUnderUniformTraffic)
 {
-    NetworkConfig cfg = baseConfig();
+    FabricConfig cfg = baseConfig();
     cfg.offeredLoad = 0.3;
     cfg.common.measureCycles = 8000;
-    const NetworkResult r = NetworkSimulator(cfg).run();
+    const core::SyncResult r = FabricSimulator(cfg).run();
     EXPECT_GT(r.latencyFairness, 0.95);
-    EXPECT_GE(r.worstSourceLatency, r.latencyClocks.mean());
+    EXPECT_GE(r.worstSourceLatency, r.latency.mean());
 }
 
 TEST(NetworkSim, LittlesLawHoldsInSteadyState)
@@ -252,19 +252,18 @@ TEST(NetworkSim, LittlesLawHoldsInSteadyState)
     // divided across the switches.  This ties together three
     // independently computed statistics, so it catches accounting
     // bugs in any of them.
-    NetworkConfig cfg = baseConfig();
+    FabricConfig cfg = baseConfig();
     cfg.offeredLoad = 0.4;
     cfg.common.warmupCycles = 1500;
     cfg.common.measureCycles = 20000;
-    NetworkSimulator sim(cfg);
-    const NetworkResult r = sim.run();
+    FabricSimulator sim(cfg);
+    const core::SyncResult r = sim.run();
 
     const double lambda =
         r.deliveredThroughput * cfg.numPorts; // packets per cycle
     const double mean_cycles_inside =
-        r.latencyClocks.mean() / kClocksPerNetworkCycle;
-    const double num_switches =
-        sim.topology().numStages() * sim.topology().switchesPerStage();
+        r.latency.mean() / kClocksPerNetworkCycle;
+    const double num_switches = sim.topology().numSwitches();
     const double expected_per_switch =
         lambda * mean_cycles_inside / num_switches;
 
@@ -274,7 +273,7 @@ TEST(NetworkSim, LittlesLawHoldsInSteadyState)
 
 TEST(NetworkSim, SweepProducesMonotoneDeliveredThroughput)
 {
-    NetworkConfig cfg = baseConfig();
+    FabricConfig cfg = baseConfig();
     cfg.common.warmupCycles = 200;
     cfg.common.measureCycles = 800;
     const auto curve =

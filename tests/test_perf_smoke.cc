@@ -23,7 +23,7 @@
 #include <cstdlib>
 #include <new>
 
-#include "network/torus_sim.hh"
+#include "network/fabric_sim.hh"
 #include "runner/sweep_runner.hh"
 #include "runner/table_benches.hh"
 
@@ -104,7 +104,7 @@ TEST(PerfSmoke, SmallSweepFinishesFastWithSaneCounters)
 
 /** Allocations during @p cycles steps of @p sim. */
 std::uint64_t
-allocationsDuring(TorusSimulator &sim, Cycle cycles)
+allocationsDuring(FabricSimulator &sim, Cycle cycles)
 {
     const std::uint64_t before =
         gAllocations.load(std::memory_order_relaxed);
@@ -120,12 +120,12 @@ TEST(PerfSmoke, SteadyStateStepMakesNoHeapAllocations)
     // the source-queue rings and per-shard move lists reach their
     // high-water marks (growth during warmup is expected and
     // amortized).
-    TorusConfig cfg;
+    FabricConfig cfg = FabricConfig::torus();
     cfg.width = 8;
     cfg.height = 8;
     cfg.offeredLoad = 0.5;
     cfg.common.seed = 42;
-    TorusSimulator sim(cfg);
+    FabricSimulator sim(cfg);
     for (Cycle c = 0; c < 2000; ++c)
         sim.step();
 
@@ -140,13 +140,13 @@ TEST(PerfSmoke, ShardedSteadyStateStepMakesNoHeapAllocations)
     // Same fabric at 4 shards: the barrier dispatch (std::function
     // phase bodies included) and the per-shard mailboxes must be
     // allocation-free too.
-    TorusConfig cfg;
+    FabricConfig cfg = FabricConfig::torus();
     cfg.width = 8;
     cfg.height = 8;
     cfg.offeredLoad = 0.5;
     cfg.common.seed = 42;
     cfg.common.shards = 4;
-    TorusSimulator sim(cfg);
+    FabricSimulator sim(cfg);
     for (Cycle c = 0; c < 2000; ++c)
         sim.step();
 

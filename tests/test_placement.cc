@@ -11,7 +11,7 @@
 #include "common/random.hh"
 #include "markov/output_queued2x2.hh"
 #include "markov/switch2x2.hh"
-#include "network/network_sim.hh"
+#include "network/fabric_sim.hh"
 #include "network/saturation.hh"
 #include "switchsim/central_buffer_switch.hh"
 #include "switchsim/output_queued_switch.hh"
@@ -186,11 +186,11 @@ class PlacementNetworkTest
 
 TEST_P(PlacementNetworkTest, ConservationHolds)
 {
-    NetworkConfig cfg;
+    FabricConfig cfg;
     cfg.placement = GetParam();
     cfg.offeredLoad = 0.6;
     cfg.common.seed = 41;
-    NetworkSimulator sim(cfg);
+    FabricSimulator sim(cfg);
     for (int i = 0; i < 600; ++i)
         sim.step();
     sim.debugValidate();
@@ -203,12 +203,12 @@ TEST_P(PlacementNetworkTest, ConservationHolds)
 
 TEST_P(PlacementNetworkTest, DiscardingConservationHolds)
 {
-    NetworkConfig cfg;
+    FabricConfig cfg;
     cfg.placement = GetParam();
     cfg.protocol = FlowControl::Discarding;
     cfg.offeredLoad = 0.8;
     cfg.common.seed = 42;
-    NetworkSimulator sim(cfg);
+    FabricSimulator sim(cfg);
     for (int i = 0; i < 600; ++i)
         sim.step();
     const NetworkCounters &c = sim.lifetime();
@@ -228,7 +228,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(PlacementNetwork, SaturationOrderingAcrossPlacements)
 {
-    NetworkConfig cfg;
+    FabricConfig cfg;
     cfg.common.warmupCycles = 400;
     cfg.common.measureCycles = 2500;
     cfg.common.seed = 10;

@@ -336,7 +336,7 @@ TEST(NetworkSweep, Table4MatchesDirectSequentialCalls)
 
     ASSERT_EQ(data.rows.size(), options.types.size());
     for (std::size_t t = 0; t < options.types.size(); ++t) {
-        NetworkConfig cfg = options.base;
+        FabricConfig cfg = options.base;
         cfg.bufferType = options.types[t];
         const Table4Row &row = data.rows[t];
         ASSERT_EQ(row.latencyClocks.size(), options.loads.size());
@@ -354,7 +354,7 @@ TEST(NetworkSweep, Table4MatchesDirectSequentialCalls)
 
 TEST(NetworkSweep, MeshSweepMatchesDirectRun)
 {
-    MeshConfig cfg;
+    FabricConfig cfg = FabricConfig::mesh();
     cfg.width = 4;
     cfg.height = 4;
     cfg.bufferType = BufferType::Damq;
@@ -364,19 +364,19 @@ TEST(NetworkSweep, MeshSweepMatchesDirectRun)
     cfg.common.measureCycles = 500;
 
     SweepRunner runner(2);
-    const std::vector<MeshTask> tasks = {
+    const std::vector<FabricTask> tasks = {
         {"damq@0.2", atLoad(cfg, 0.2)},
         {"damq@0.4", atLoad(cfg, 0.4)},
     };
-    const std::vector<MeshResult> swept =
-        runMeshSweep(runner, tasks);
+    const std::vector<core::SyncResult> swept =
+        runSimSweep(runner, tasks);
     ASSERT_EQ(swept.size(), 2u);
 
     for (std::size_t i = 0; i < tasks.size(); ++i) {
-        const MeshResult direct =
-            MeshSimulator(tasks[i].config).run();
-        EXPECT_EQ(swept[i].latencyCycles.mean(),
-                  direct.latencyCycles.mean());
+        const core::SyncResult direct =
+            FabricSimulator(tasks[i].config).run();
+        EXPECT_EQ(swept[i].latency.mean(),
+                  direct.latency.mean());
         EXPECT_EQ(swept[i].deliveredThroughput,
                   direct.deliveredThroughput);
     }

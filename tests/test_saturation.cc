@@ -12,10 +12,10 @@
 namespace damq {
 namespace {
 
-NetworkConfig
+FabricConfig
 config(BufferType type)
 {
-    NetworkConfig cfg;
+    FabricConfig cfg;
     cfg.bufferType = type;
     cfg.slotsPerBuffer = 4;
     cfg.common.seed = 2718;
@@ -46,7 +46,7 @@ TEST(Saturation, CurveHasTheClassicShape)
 
 TEST(Saturation, MeasureMatchesTheSweepPlateau)
 {
-    const NetworkConfig cfg = config(BufferType::Fifo);
+    const FabricConfig cfg = config(BufferType::Fifo);
     const SaturationSummary sat = measureSaturation(cfg);
     const auto curve = sweepLoads(cfg, {1.0});
     EXPECT_NEAR(sat.saturationThroughput,
@@ -55,7 +55,7 @@ TEST(Saturation, MeasureMatchesTheSweepPlateau)
 
 TEST(Saturation, LatencyAtLoadAgreesWithSweep)
 {
-    const NetworkConfig cfg = config(BufferType::Damq);
+    const FabricConfig cfg = config(BufferType::Damq);
     const double direct = latencyAtLoad(cfg, 0.3);
     const auto curve = sweepLoads(cfg, {0.3});
     // Same seed, same configuration: identical runs.

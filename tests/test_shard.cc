@@ -21,8 +21,7 @@
 
 #include <string>
 
-#include "network/network_sim.hh"
-#include "network/torus_sim.hh"
+#include "network/fabric_sim.hh"
 
 namespace damq {
 namespace {
@@ -81,10 +80,10 @@ expectIdentical(const Observed &a, const Observed &b,
 
 // ------------------------------------------------------------ torus
 
-TorusConfig
+FabricConfig
 torusBase()
 {
-    TorusConfig cfg;
+    FabricConfig cfg = FabricConfig::torus();
     cfg.width = 8;
     cfg.height = 8;
     cfg.offeredLoad = 0.6;
@@ -95,12 +94,12 @@ torusBase()
 }
 
 Observed
-runTorus(TorusConfig cfg, std::uint32_t shards,
+runTorus(FabricConfig cfg, std::uint32_t shards,
          std::uint64_t *retransmits = nullptr)
 {
     cfg.common.shards = shards;
-    TorusSimulator sim(cfg);
-    const TorusResult result = sim.run();
+    FabricSimulator sim(cfg);
+    const core::SyncResult result = sim.run();
     if (retransmits)
         *retransmits = sim.faultReport().recovery.retransmits;
     Observed obs;
@@ -108,11 +107,11 @@ runTorus(TorusConfig cfg, std::uint32_t shards,
     obs.lifetime = sim.lifetime();
     obs.deliveredThroughput = result.deliveredThroughput;
     obs.discardFraction = result.discardFraction;
-    obs.latencyCount = result.latencyCycles.count();
-    obs.latencyMean = result.latencyCycles.mean();
-    obs.latencyStddev = result.latencyCycles.stddev();
-    obs.latencyMin = result.latencyCycles.min();
-    obs.latencyMax = result.latencyCycles.max();
+    obs.latencyCount = result.latency.count();
+    obs.latencyMean = result.latency.mean();
+    obs.latencyStddev = result.latency.stddev();
+    obs.latencyMin = result.latency.min();
+    obs.latencyMax = result.latency.max();
     obs.latencyP50 = result.latencyP50;
     obs.latencyP99 = result.latencyP99;
     obs.snapshot = sim.snapshotText();
@@ -138,7 +137,7 @@ TEST(ShardIdentity, RecoveringFaultyTorusIsBitIdentical)
     // onto the coordinator, but arbitration, pops, and injection
     // still run sharded — and the fault-plan PRNG must see exactly
     // the same draw sequence at any shard count.
-    TorusConfig cfg = torusBase();
+    FabricConfig cfg = torusBase();
     cfg.common.faults.seed = 7;
     cfg.common.faults.packetDropRate = 0.01;
     cfg.common.faults.linkDownFraction = 0.05;
@@ -164,7 +163,7 @@ TEST(ShardIdentity, SoftFaultTorusIsBitIdentical)
     // credits) are queried concurrently from the sharded
     // arbitration phase; the pre-roll in phaseFaults must keep the
     // draw order identical at any shard count.
-    TorusConfig cfg = torusBase();
+    FabricConfig cfg = torusBase();
     cfg.common.faults.seed = 11;
     cfg.common.faults.arbiterStuckRate = 0.002;
     cfg.common.faults.creditDelayRate = 0.002;
@@ -179,7 +178,7 @@ TEST(ShardIdentity, SoftFaultTorusIsBitIdentical)
 Observed
 runOmega(std::uint32_t shards)
 {
-    NetworkConfig cfg;
+    FabricConfig cfg;
     cfg.numPorts = 64;
     cfg.radix = 4;
     cfg.offeredLoad = 0.7;
@@ -187,18 +186,18 @@ runOmega(std::uint32_t shards)
     cfg.common.warmupCycles = 200;
     cfg.common.measureCycles = 400;
     cfg.common.shards = shards;
-    NetworkSimulator sim(cfg);
-    const NetworkResult result = sim.run();
+    FabricSimulator sim(cfg);
+    const core::SyncResult result = sim.run();
     Observed obs;
     obs.window = result.window;
     obs.lifetime = sim.lifetime();
     obs.deliveredThroughput = result.deliveredThroughput;
     obs.discardFraction = result.discardFraction;
-    obs.latencyCount = result.latencyClocks.count();
-    obs.latencyMean = result.latencyClocks.mean();
-    obs.latencyStddev = result.latencyClocks.stddev();
-    obs.latencyMin = result.latencyClocks.min();
-    obs.latencyMax = result.latencyClocks.max();
+    obs.latencyCount = result.latency.count();
+    obs.latencyMean = result.latency.mean();
+    obs.latencyStddev = result.latency.stddev();
+    obs.latencyMin = result.latency.min();
+    obs.latencyMax = result.latency.max();
     obs.latencyP50 = result.latencyFairness;
     obs.latencyP99 = result.worstSourceLatency;
     obs.snapshot = sim.snapshotText();
@@ -223,22 +222,22 @@ TEST(ShardIdentity, DefaultConfigMatchesExplicitOneShard)
     // explicit --shards 1 must be the same engine: no thread pool,
     // same results.
     const Observed implicit = runTorus(torusBase(), 0 + 1);
-    TorusConfig cfg = torusBase(); // leaves cfg.common.shards == 1
-    TorusSimulator sim(cfg);
-    const TorusResult result = sim.run();
+    FabricConfig cfg = torusBase(); // leaves cfg.common.shards == 1
+    FabricSimulator sim(cfg);
+    const core::SyncResult result = sim.run();
     EXPECT_EQ(result.window.delivered, implicit.window.delivered);
-    EXPECT_EQ(result.latencyCycles.mean(), implicit.latencyMean);
+    EXPECT_EQ(result.latency.mean(), implicit.latencyMean);
     EXPECT_EQ(sim.snapshotText(), implicit.snapshot);
 }
 
 TEST(ShardDeathTest, MoreShardsThanSwitchesFailsCleanly)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    TorusConfig cfg = torusBase(); // 64 switches
+    FabricConfig cfg = torusBase(); // 64 switches
     cfg.common.shards = 65;
     // damq_fatal: clean diagnostic + exit(1), not a crash — the
     // validation runs before any worker thread spawns.
-    EXPECT_EXIT({ TorusSimulator sim(cfg); },
+    EXPECT_EXIT({ FabricSimulator sim(cfg); },
                 ::testing::ExitedWithCode(1), "exceeds");
 }
 

@@ -10,15 +10,14 @@
 #include <gtest/gtest.h>
 
 #include "fault/fault_report.hh"
-#include "network/network_sim.hh"
-#include "network/torus_sim.hh"
+#include "network/fabric_sim.hh"
 
 namespace damq {
 namespace {
 
 TEST(FaultSoak, TorusRerouteSurvivesLongRunWithDeadLinks)
 {
-    TorusConfig cfg; // 8x8, blocking, two dateline VCs
+    FabricConfig cfg = FabricConfig::torus(); // 8x8, blocking, two dateline VCs
     cfg.offeredLoad = 0.08;
     cfg.common.warmupCycles = 1000;
     cfg.common.measureCycles = 20000;
@@ -28,8 +27,8 @@ TEST(FaultSoak, TorusRerouteSurvivesLongRunWithDeadLinks)
     cfg.common.watchdogStallCycles = 2000;
     cfg.common.recovery.policy = RecoveryPolicy::RetransmitReroute;
 
-    TorusSimulator sim(cfg);
-    const TorusResult result = sim.run();
+    FabricSimulator sim(cfg);
+    const core::SyncResult result = sim.run();
     const FaultReport report = sim.faultReport();
 
     EXPECT_GT(report.recovery.deadLinksDeclared, 0u);
@@ -48,7 +47,8 @@ TEST(FaultSoak, TorusRerouteSurvivesLongRunWithDeadLinks)
 
 TEST(FaultSoak, TorusSurvivesLinkChurnWithRevivals)
 {
-    TorusConfig cfg; // episodes start, die, and heal, repeatedly
+    // episodes start, die, and heal, repeatedly
+    FabricConfig cfg = FabricConfig::torus();
     cfg.offeredLoad = 0.08;
     cfg.common.warmupCycles = 1000;
     cfg.common.measureCycles = 20000;
@@ -60,8 +60,8 @@ TEST(FaultSoak, TorusSurvivesLinkChurnWithRevivals)
     cfg.common.recovery.policy = RecoveryPolicy::RetransmitReroute;
     cfg.common.recovery.reviveProbeCycles = 64;
 
-    TorusSimulator sim(cfg);
-    const TorusResult result = sim.run();
+    FabricSimulator sim(cfg);
+    const core::SyncResult result = sim.run();
     const FaultReport report = sim.faultReport();
 
     ASSERT_GT(report.injectedOf(FaultKind::LinkDown), 0u);
@@ -78,7 +78,7 @@ TEST(FaultSoak, TorusSurvivesLinkChurnWithRevivals)
 
 TEST(FaultSoak, OmegaRetransmissionStaysLosslessOverLongRun)
 {
-    NetworkConfig cfg;
+    FabricConfig cfg;
     cfg.numPorts = 64;
     cfg.radix = 4;
     cfg.offeredLoad = 0.5;
@@ -90,7 +90,7 @@ TEST(FaultSoak, OmegaRetransmissionStaysLosslessOverLongRun)
     cfg.common.auditEveryCycles = 500;
     cfg.common.recovery.policy = RecoveryPolicy::Retransmit;
 
-    NetworkSimulator sim(cfg);
+    FabricSimulator sim(cfg);
     sim.run();
     const FaultReport report = sim.faultReport();
 

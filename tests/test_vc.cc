@@ -13,7 +13,7 @@
 #include "fault/invariant_auditor.hh"
 #include "network/core/grid_topology.hh"
 #include "network/core/vc_policy.hh"
-#include "network/torus_sim.hh"
+#include "network/fabric_sim.hh"
 #include "queueing/buffer_factory.hh"
 #include "switchsim/switch_model.hh"
 
@@ -270,10 +270,11 @@ TEST(ArbiterVcTest, GrantOnUndeclaredVcIsReportedIllegal)
 
 // ------------------------------------------- blocking torus at 1.0
 
-TorusConfig
+FabricConfig
 saturatedBlockingTorus()
 {
-    TorusConfig cfg; // defaults: blocking, 2 dateline VCs
+    // defaults: blocking, 2 dateline VCs
+    FabricConfig cfg = FabricConfig::torus();
     cfg.width = 4;
     cfg.height = 4;
     cfg.bufferType = BufferType::Damq;
@@ -290,11 +291,11 @@ saturatedBlockingTorus()
 
 TEST(BlockingTorusTest, SaturatedRunNeverTripsTheWatchdog)
 {
-    TorusConfig cfg = saturatedBlockingTorus();
+    FabricConfig cfg = saturatedBlockingTorus();
     ASSERT_EQ(cfg.protocol, FlowControl::Blocking);
     ASSERT_EQ(cfg.common.vcs, 2u);
-    TorusSimulator sim(cfg);
-    const TorusResult result = sim.run();
+    FabricSimulator sim(cfg);
+    const core::SyncResult result = sim.run();
     EXPECT_EQ(result.watchdogTrips, 0u);
     EXPECT_FALSE(sim.faultReport().watchdogFired);
     // Saturation means real forward progress, not a quiet wedge.
@@ -305,9 +306,9 @@ TEST(BlockingTorusTest, SaturatedRunNeverTripsTheWatchdog)
 
 TEST(BlockingTorusTest, FifoOrderHoldsPerQueueUnderVcs)
 {
-    TorusConfig cfg = saturatedBlockingTorus();
+    FabricConfig cfg = saturatedBlockingTorus();
     cfg.common.measureCycles = 2000;
-    TorusSimulator sim(cfg);
+    FabricSimulator sim(cfg);
     for (int cycle = 0; cycle < 2000; ++cycle)
         sim.step();
     // Packets from one source inside any (output, VC) queue must
@@ -333,12 +334,12 @@ TEST(BlockingTorusTest, SingleVcBlockingTorusCanWedgeButIsReported)
     // don't assert that it *does* deadlock (seed-dependent) — only
     // that the run completes and the watchdog verdict is reported
     // through the result, which is what the bench tables print.
-    TorusConfig cfg = saturatedBlockingTorus();
+    FabricConfig cfg = saturatedBlockingTorus();
     cfg.common.vcs = 1;
     cfg.slotsPerBuffer = 5;
     cfg.common.measureCycles = 20000;
-    TorusSimulator sim(cfg);
-    const TorusResult result = sim.run();
+    FabricSimulator sim(cfg);
+    const core::SyncResult result = sim.run();
     EXPECT_EQ(result.watchdogTrips,
               sim.faultReport().watchdogFired ? 1u : 0u);
 }

@@ -24,7 +24,7 @@
 #include "common/arg_parser.hh"
 #include "common/random.hh"
 #include "network/core/workload.hh"
-#include "network/torus_sim.hh"
+#include "network/fabric_sim.hh"
 #include "runner/sim_flags.hh"
 
 namespace damq {
@@ -85,10 +85,10 @@ expectIdentical(const Observed &a, const Observed &b,
     EXPECT_EQ(a.snapshot, b.snapshot);
 }
 
-TorusConfig
+FabricConfig
 torusBase(double load)
 {
-    TorusConfig cfg;
+    FabricConfig cfg = FabricConfig::torus();
     cfg.width = 8;
     cfg.height = 8;
     cfg.offeredLoad = load;
@@ -99,17 +99,17 @@ torusBase(double load)
 }
 
 Observed
-runTorus(TorusConfig cfg, std::uint32_t shards)
+runTorus(FabricConfig cfg, std::uint32_t shards)
 {
     cfg.common.shards = shards;
-    TorusSimulator sim(cfg);
-    const TorusResult result = sim.run();
+    FabricSimulator sim(cfg);
+    const core::SyncResult result = sim.run();
     Observed obs;
     obs.window = result.window;
     obs.lifetime = sim.lifetime();
     obs.deliveredThroughput = result.deliveredThroughput;
-    obs.latencyCount = result.latencyCycles.count();
-    obs.latencyMean = result.latencyCycles.mean();
+    obs.latencyCount = result.latency.count();
+    obs.latencyMean = result.latency.mean();
     obs.latencyP50 = result.latencyP50;
     obs.latencyP99 = result.latencyP99;
     obs.e2eP50 = result.e2eLatencyP50;
@@ -122,7 +122,7 @@ runTorus(TorusConfig cfg, std::uint32_t shards)
 }
 
 void
-expectShardIdentity(const TorusConfig &cfg, const char *what)
+expectShardIdentity(const FabricConfig &cfg, const char *what)
 {
     const Observed one = runTorus(cfg, 1);
     const Observed two = runTorus(cfg, 2);
@@ -137,7 +137,7 @@ expectShardIdentity(const TorusConfig &cfg, const char *what)
 
 TEST(WorkloadShardIdentity, OnOffIsBitIdenticalAcrossShardCounts)
 {
-    TorusConfig cfg = torusBase(0.4);
+    FabricConfig cfg = torusBase(0.4);
     cfg.common.workload.kind = core::WorkloadKind::OnOff;
     cfg.common.workload.burstiness = 2.0;
     cfg.common.workload.meanBurstCycles = 8;
@@ -146,7 +146,7 @@ TEST(WorkloadShardIdentity, OnOffIsBitIdenticalAcrossShardCounts)
 
 TEST(WorkloadShardIdentity, MmppIsBitIdenticalAcrossShardCounts)
 {
-    TorusConfig cfg = torusBase(0.3);
+    FabricConfig cfg = torusBase(0.3);
     cfg.common.workload.kind = core::WorkloadKind::Mmpp;
     cfg.common.workload.burstiness = 3.0;
     cfg.common.workload.meanBurstCycles = 8;
@@ -158,7 +158,7 @@ TEST(WorkloadShardIdentity, ReqReplyIsBitIdenticalAcrossShardCounts)
     // Closed-loop state mutates in onDelivered(), which the sharded
     // engine replays on the coordinator in global move order — the
     // contract this test pins down.
-    TorusConfig cfg = torusBase(0.6);
+    FabricConfig cfg = torusBase(0.6);
     cfg.common.workload.kind = core::WorkloadKind::ReqReply;
     cfg.common.workload.replyWindow = 4;
     expectShardIdentity(cfg, "reqreply");
@@ -169,7 +169,7 @@ TEST(WorkloadShardIdentity, BatchIsBitIdenticalAcrossShardCounts)
     // Batch runs the drain-and-measure schedule; the actual window
     // length (batchCycles) feeds measuredCycles and throughput, so
     // identity here also pins the termination cycle.
-    TorusConfig cfg = torusBase(0.6);
+    FabricConfig cfg = torusBase(0.6);
     cfg.common.workload.kind = core::WorkloadKind::Batch;
     cfg.common.workload.batchPackets = 32;
     expectShardIdentity(cfg, "batch");
@@ -180,11 +180,11 @@ TEST(WorkloadShardIdentity, BatchIsBitIdenticalAcrossShardCounts)
 TEST(WorkloadTrace, RecordedRunReplaysBitIdentically)
 {
     // Record every injection of a plain geometric run...
-    TorusConfig cfg = torusBase(0.5);
+    FabricConfig cfg = torusBase(0.5);
     std::vector<core::WorkloadTraceEntry> record;
-    TorusSimulator sim(cfg);
+    FabricSimulator sim(cfg);
     sim.syncEngine().recordInjectionsTo(&record);
-    const TorusResult original = sim.run();
+    const core::SyncResult original = sim.run();
     ASSERT_GT(record.size(), 0u);
 
     // ...write it out and parse it back unchanged...
@@ -204,18 +204,18 @@ TEST(WorkloadTrace, RecordedRunReplaysBitIdentically)
     // PRNG feeds nothing but traffic draws, and the trace process
     // makes none, so the replayed network evolves byte-for-byte
     // like the original.
-    TorusConfig replay = torusBase(0.5);
+    FabricConfig replay = torusBase(0.5);
     replay.common.workload.kind = core::WorkloadKind::Trace;
     replay.common.workload.traceFile = path;
-    TorusSimulator sim2(replay);
-    const TorusResult replayed = sim2.run();
+    FabricSimulator sim2(replay);
+    const core::SyncResult replayed = sim2.run();
     EXPECT_EQ(original.window.generated, replayed.window.generated);
     EXPECT_EQ(original.window.injected, replayed.window.injected);
     EXPECT_EQ(original.window.delivered, replayed.window.delivered);
-    EXPECT_EQ(original.latencyCycles.count(),
-              replayed.latencyCycles.count());
-    EXPECT_EQ(original.latencyCycles.mean(),
-              replayed.latencyCycles.mean());
+    EXPECT_EQ(original.latency.count(),
+              replayed.latency.count());
+    EXPECT_EQ(original.latency.mean(),
+              replayed.latency.mean());
     EXPECT_EQ(original.e2eLatencyP50, replayed.e2eLatencyP50);
     EXPECT_EQ(original.e2eLatencyP99, replayed.e2eLatencyP99);
     EXPECT_EQ(original.e2eLatencyP999, replayed.e2eLatencyP999);
@@ -252,10 +252,10 @@ TEST(WorkloadTraceDeathTest, MalformedTracesFailWithLineNumbers)
 
 TEST(WorkloadClosedLoop, ConservationClosesAfterDrain)
 {
-    TorusConfig cfg = torusBase(0.6);
+    FabricConfig cfg = torusBase(0.6);
     cfg.common.workload.kind = core::WorkloadKind::ReqReply;
     cfg.common.workload.replyWindow = 4;
-    TorusSimulator sim(cfg);
+    FabricSimulator sim(cfg);
     sim.run();
     ASSERT_TRUE(sim.drain(100000));
     const core::InjectionProcess &process =
@@ -274,11 +274,11 @@ TEST(WorkloadClosedLoop, ConservationClosesAfterDrain)
 
 TEST(WorkloadBatch, DrainAndMeasureDeliversExactlyTheQuota)
 {
-    TorusConfig cfg = torusBase(0.6);
+    FabricConfig cfg = torusBase(0.6);
     cfg.common.workload.kind = core::WorkloadKind::Batch;
     cfg.common.workload.batchPackets = 32;
-    TorusSimulator sim(cfg);
-    const TorusResult result = sim.run();
+    FabricSimulator sim(cfg);
+    const core::SyncResult result = sim.run();
     const core::InjectionProcess &process =
         sim.syncEngine().injection();
     EXPECT_TRUE(process.exhausted());
@@ -338,10 +338,10 @@ TEST(WorkloadValidationDeathTest, ClosedLoopRejectsDiscarding)
     // A dropped request would strand its reply forever; the engine
     // rejects the combination at construction.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    TorusConfig cfg = torusBase(0.3);
+    FabricConfig cfg = torusBase(0.3);
     cfg.protocol = FlowControl::Discarding;
     cfg.common.workload.kind = core::WorkloadKind::ReqReply;
-    EXPECT_EXIT({ TorusSimulator sim(cfg); },
+    EXPECT_EXIT({ FabricSimulator sim(cfg); },
                 ::testing::ExitedWithCode(1),
                 "needs a lossless protocol");
 }
@@ -404,27 +404,6 @@ TEST(WorkloadFlagsDeathTest, UnknownWorkloadNameExitsWithChoices)
             applyCommonSimFlags(args, common, "t");
         },
         ::testing::ExitedWithCode(1), "geometric");
-}
-
-// ------------------------------------------------- legacy alias
-
-TEST(WorkloadLegacyAlias, BurstinessConfigSelectsOnOff)
-{
-    // The deprecated TorusConfig::burstiness knob and the explicit
-    // onoff workload must be the same process, draw for draw.
-    TorusConfig legacy = torusBase(0.4);
-    legacy.burstiness = 2.0;
-    legacy.meanBurstCycles = 8;
-
-    TorusConfig modern = torusBase(0.4);
-    modern.common.workload.kind = core::WorkloadKind::OnOff;
-    modern.common.workload.burstiness = 2.0;
-    modern.common.workload.meanBurstCycles = 8;
-
-    const Observed a = runTorus(legacy, 1);
-    const Observed b = runTorus(modern, 1);
-    ASSERT_GT(a.lifetime.delivered, 0u);
-    expectIdentical(a, b, "legacy burstiness vs explicit onoff");
 }
 
 // ------------------------------------------- packet lengths
