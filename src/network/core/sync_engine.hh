@@ -428,12 +428,6 @@ class SyncEngine final : public SimEngine
         /** Per-switch pop scratch, reused each cycle. */
         std::vector<Packet> sent;
 
-        /** Switch currently arbitrating (read by canSend). */
-        SwitchId arbSwitch = 0;
-
-        /** Capacity check bound to arbSwitch, built once. */
-        CanSendFn canSend;
-
         // Per-cycle counter deltas, summed by the coordinator at
         // the phase barrier (integer sums are order-independent).
         std::uint64_t discardedInternal = 0;

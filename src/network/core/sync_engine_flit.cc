@@ -305,7 +305,6 @@ SyncEngine::flitCanContinue(LinkId link, const FlitStream &st,
 void
 SyncEngine::flitArbitrate(unsigned shard)
 {
-    ShardScratch &sc = shardScratch[shard];
     FlitShard &fs = flit->shard[shard];
     for (SwitchId sw = plan.begin[shard]; sw < plan.begin[shard + 1];
          ++sw) {
@@ -350,8 +349,11 @@ SyncEngine::flitArbitrate(unsigned shard)
         // keep draining (their arbitration already happened).
         if (injector.arbiterStuck(sw, currentCycle))
             continue;
-        sc.arbSwitch = sw;
-        switchStore[sw].arbitrateInto(sc.canSend, grants);
+        const auto can_send = [this, sw](PortId, QueueKey out_key,
+                                         const Packet &pkt) {
+            return flitCanSendHead(sw, out_key, pkt);
+        };
+        switchStore[sw].arbitrateInto(can_send, grants);
         // The arbiter caps reads among its own grants but cannot
         // see the continuations' claims — drop what exceeds the
         // remaining budget, in grant order.

@@ -40,8 +40,15 @@ tryBufferTypeFromString(const std::string &name)
 BufferModel::BufferModel(QueueLayout queue_layout,
                          std::uint32_t capacity_slots)
     : queues(queue_layout), capacity(capacity_slots),
-      vcCensus(queue_layout.vcs, 0)
+      vcCensus(queue_layout.vcs, 0), readyBits(&readyInline),
+      readyWords((queue_layout.numQueues() + 63) / 64)
 {
+    // The object is neither copyable nor movable, so pointing at
+    // the inline word is safe; wide layouts spill to the heap.
+    if (readyWords > 1) {
+        readyHeap.assign(readyWords, 0);
+        readyBits = readyHeap.data();
+    }
     damq_assert(queues.outputs > 0,
                 "buffer needs at least one output queue");
     damq_assert(queues.vcs > 0,
@@ -92,8 +99,32 @@ BufferModel::clear()
     std::fill(vcCensus.begin(), vcCensus.end(), 0);
     classCensus.fill(0);
     fullyArrivedCount = 0;
+    std::fill(readyBits, readyBits + readyWords, 0);
+    readyQueues = 0;
     if (probe)
         probe->onClear(*this);
+}
+
+std::vector<std::string>
+BufferModel::auditReadyMask() const
+{
+    std::vector<std::string> violations;
+    std::uint32_t set = 0;
+    for (std::uint32_t q = 0; q < numQueues(); ++q) {
+        const QueueKey key = queues.unflatten(q);
+        const bool ready = queueReady(key);
+        const bool head = peek(key) != nullptr;
+        set += ready ? 1 : 0;
+        if (ready != head)
+            violations.push_back(detail::concat(
+                "queue ", q, ": ready bit ", ready ? "set" : "clear",
+                " but the queue ", head ? "has" : "has no", " head"));
+    }
+    if (set != readyQueues)
+        violations.push_back(detail::concat(
+            "ready-queue counter drifted (", set, " bits set, ",
+            readyQueues, " counted)"));
+    return violations;
 }
 
 std::vector<std::string>

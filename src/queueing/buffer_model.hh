@@ -184,6 +184,31 @@ class BufferModel
     bool empty() const { return totalPackets() == 0; }
 
     /**
+     * Ready-queue mask, the behavioral model of the DAMQ's per-queue
+     * head registers: bit QueueLayout::flatten(key) is set iff
+     * peek(key) is non-null (for a FIFO lane, only its head-of-line
+     * packet's queue).  readyMaskWords() 64-bit words, low bit
+     * first; bits past numQueues() stay clear.  Every organization
+     * keeps it current in push/pop/clear (flit arrivals and sends
+     * never change whether a queue has a head), so the arbiter can
+     * visit just the queues that hold packets.
+     */
+    const std::uint64_t *readyMask() const { return readyBits; }
+
+    /** Words in readyMask(): ceil(numQueues() / 64). */
+    std::uint32_t readyMaskWords() const { return readyWords; }
+
+    /** Whether any queue has a head, i.e. the buffer is non-empty. */
+    bool anyReady() const { return readyQueues != 0; }
+
+    /** Whether queue @p key's ready bit is set. */
+    bool queueReady(QueueKey key) const
+    {
+        const std::uint32_t f = queues.flatten(key);
+        return (readyBits[f >> 6] >> (f & 63)) & 1u;
+    }
+
+    /**
      * Whether a packet of @p len slots routed to queue @p key could
      * be accepted right now.  Non-virtual: the base snapshots the
      * organization's state via fillAdmissionState() and delegates
@@ -411,6 +436,33 @@ class BufferModel
     virtual bool faultLeakSlot() { return false; }
 
   protected:
+    /** Set queue @p key's ready bit (it now has a head). */
+    void markReady(QueueKey key)
+    {
+        const std::uint32_t f = queues.flatten(key);
+        std::uint64_t &word = readyBits[f >> 6];
+        const std::uint64_t bit = std::uint64_t{1} << (f & 63);
+        readyQueues += (word & bit) ? 0 : 1;
+        word |= bit;
+    }
+
+    /** Clear queue @p key's ready bit (it has no head any more). */
+    void markIdle(QueueKey key)
+    {
+        const std::uint32_t f = queues.flatten(key);
+        std::uint64_t &word = readyBits[f >> 6];
+        const std::uint64_t bit = std::uint64_t{1} << (f & 63);
+        readyQueues -= (word & bit) ? 1 : 0;
+        word &= ~bit;
+    }
+
+    /**
+     * Audit the ready mask against peek() for every queue (and the
+     * ready-queue counter against the mask); empty when consistent.
+     * Every organization's checkInvariants() appends it.
+     */
+    std::vector<std::string> auditReadyMask() const;
+
     /**
      * Escape-slot debt of a shared pool toward VCs *other than*
      * @p vc: one slot per empty foreign VC.  This is a policy-layer
@@ -489,6 +541,12 @@ class BufferModel
     /// slots held per traffic class, maintained by push/pop/flit
     std::array<std::uint32_t, kMaxTrafficClasses> classCensus{};
     std::uint32_t fullyArrivedCount = 0;
+    /// ready mask: &readyInline for up to 64 queues, else readyHeap
+    std::uint64_t *readyBits;
+    std::uint32_t readyWords;
+    std::uint32_t readyQueues = 0; ///< set bits in the ready mask
+    std::uint64_t readyInline = 0;
+    std::vector<std::uint64_t> readyHeap;
     BufferProbe *probe = nullptr;
     /// active admission rule (never null; StaticAdmission default)
     const AdmissionPolicy *policy = &StaticAdmission::instance();

@@ -48,6 +48,7 @@ DamqBuffer::pushImpl(const Packet &pkt)
     }
     ++queue.packets;
     ++packetCount;
+    markReady(key);
 }
 
 const Packet *
@@ -89,6 +90,8 @@ DamqBuffer::popImpl(QueueKey key)
     }
     --queue.packets;
     --packetCount;
+    if (queue.packets == 0)
+        markIdle(key);
     return pkt;
 }
 
@@ -332,6 +335,8 @@ DamqBuffer::checkInvariants() const
                    " free < ", empty_vcs, " empty VCs)");
     }
     for (std::string &v : auditClassCensus())
+        violations.push_back(std::move(v));
+    for (std::string &v : auditReadyMask())
         violations.push_back(std::move(v));
     return violations;
 }

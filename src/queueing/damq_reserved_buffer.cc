@@ -54,6 +54,8 @@ std::vector<std::string>
 DamqReservedBuffer::checkInvariants() const
 {
     std::vector<std::string> violations = inner.checkInvariants();
+    for (std::string &v : auditReadyMask())
+        violations.push_back(std::move(v));
 
     std::uint32_t empty_queues = 0;
     for (std::uint32_t q = 0; q < numQueues(); ++q) {

@@ -52,7 +52,11 @@ class DamqReservedBuffer final : public BufferModel
 
     void fillAdmissionState(QueueKey key,
                             AdmissionState &st) const override;
-    void pushImpl(const Packet &pkt) override { inner.push(pkt); }
+    void pushImpl(const Packet &pkt) override
+    {
+        inner.push(pkt);
+        markReady({pkt.outPort, pkt.vc});
+    }
     const Packet *peek(QueueKey key) const override
     {
         return inner.peek(key);
@@ -61,7 +65,13 @@ class DamqReservedBuffer final : public BufferModel
     {
         return inner.queueLength(key);
     }
-    Packet popImpl(QueueKey key) override { return inner.pop(key); }
+    Packet popImpl(QueueKey key) override
+    {
+        const Packet pkt = inner.pop(key);
+        if (!inner.queueReady(key))
+            markIdle(key);
+        return pkt;
+    }
     FlitEvent flitArrivedImpl(QueueKey key) override
     {
         // Delegate through the inner buffer's public wrapper so its

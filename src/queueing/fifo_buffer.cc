@@ -39,7 +39,11 @@ FifoBuffer::pushImpl(const Packet &pkt)
                 "push: bad output port");
     damq_assert(used + pkt.slotsHeld() <= capacitySlots(),
                 "push into a full FIFO buffer");
-    lanes[pkt.vc].push_back(pkt);
+    std::deque<Packet> &lane = lanes[pkt.vc];
+    // Only the head-of-line packet's queue is ready.
+    if (lane.empty())
+        markReady({pkt.outPort, pkt.vc});
+    lane.push_back(pkt);
     used += pkt.slotsHeld();
     ++packetsStored;
 }
@@ -71,9 +75,14 @@ FifoBuffer::popImpl(QueueKey key)
     damq_assert(head != nullptr,
                 "pop(", key.out, ") but head-of-line is elsewhere");
     Packet pkt = *head;
-    lanes[key.vc].pop_front();
+    std::deque<Packet> &lane = lanes[key.vc];
+    lane.pop_front();
     used -= pkt.slotsHeld();
     --packetsStored;
+    // The next packet in the lane, if any, becomes the head.
+    markIdle(key);
+    if (!lane.empty())
+        markReady({lane.front().outPort, key.vc});
     return pkt;
 }
 
@@ -184,6 +193,8 @@ FifoBuffer::checkInvariants() const
             "FIFO over capacity (", used, " used > ", capacitySlots(),
             ")"));
     for (std::string &v : auditClassCensus())
+        violations.push_back(std::move(v));
+    for (std::string &v : auditReadyMask())
         violations.push_back(std::move(v));
     return violations;
 }

@@ -78,6 +78,7 @@ StaticallyPartitionedBuffer::pushImpl(const Packet &pkt)
     freeTotal -= pkt.slotsHeld();
     ++packetsPerQueue[q];
     ++packets;
+    markReady(key);
 }
 
 const Packet *
@@ -123,6 +124,8 @@ StaticallyPartitionedBuffer::popImpl(QueueKey key)
     freeTotal += pkt.slotsHeld();
     --packetsPerQueue[q];
     --packets;
+    if (packetsPerQueue[q] == 0)
+        markIdle(key);
     return pkt;
 }
 
@@ -344,6 +347,8 @@ StaticallyPartitionedBuffer::checkInvariants() const
         report("free slot accounting drifted (", total_free,
                " on the lists, ", freeTotal, " counted)");
     for (std::string &v : auditClassCensus())
+        violations.push_back(std::move(v));
+    for (std::string &v : auditReadyMask())
         violations.push_back(std::move(v));
     return violations;
 }

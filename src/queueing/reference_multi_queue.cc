@@ -45,6 +45,7 @@ ReferenceMultiQueue::pushImpl(const Packet &pkt)
     slotListAppendTail(nodes, queues[layout().flatten(key)], n);
     used += pkt.slotsHeld();
     ++packets;
+    markReady(key);
 }
 
 const Packet *
@@ -77,6 +78,8 @@ ReferenceMultiQueue::popImpl(QueueKey key)
     slotListAppendTail(nodes, freeNodes, n);
     used -= pkt.slotsHeld();
     --packets;
+    if (queue.head == kNullSlot)
+        markIdle(key);
     return pkt;
 }
 

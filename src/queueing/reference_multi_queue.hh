@@ -49,6 +49,12 @@ class ReferenceMultiQueue final : public BufferModel
 
     void clear() override;
 
+    /** The oracle's only audit is the shared ready-mask check. */
+    std::vector<std::string> checkInvariants() const override
+    {
+        return auditReadyMask();
+    }
+
   private:
     /** One queued packet (every packet is >= 1 slot, so
      *  capacitySlots() nodes always suffice). */

@@ -84,7 +84,7 @@ GrantList
 SwitchModel::arbitrate(const CanSendFn &can_send)
 {
     GrantList grants;
-    arbiter->arbitrateInto(bufferPtrs, can_send, grants);
+    arbitrateInto(can_send, grants);
     return grants;
 }
 
@@ -127,7 +127,7 @@ void
 SwitchModel::transmitInto(const CanSendFn &can_send,
                           std::vector<Packet> &sent)
 {
-    arbiter->arbitrateInto(bufferPtrs, can_send, grantScratch);
+    arbitrateInto(can_send, grantScratch);
     sent.clear();
     for (const Grant &g : grantScratch) {
         damq_assert(g.input < ports && g.output < ports,

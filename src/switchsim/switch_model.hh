@@ -108,9 +108,17 @@ class SwitchModel final : public SwitchUnit
      * this switch's state (buffers read, arbiter fairness state
      * mutated) is touched, so distinct switches may arbitrate
      * concurrently as long as @p can_send reads are race-free.
+     * A switch with no ready queue skips the scan: the arbiter's
+     * idleCycle() has exactly the effect of arbitrating over empty
+     * buffers.
      */
     void arbitrateInto(const CanSendFn &can_send, GrantList &grants)
     {
+        if (!hasWork()) {
+            grants.clear();
+            arbiter->idleCycle();
+            return;
+        }
         arbiter->arbitrateInto(bufferPtrs, can_send, grants);
     }
 
@@ -135,6 +143,17 @@ class SwitchModel final : public SwitchUnit
 
     /** Packets buffered across all input buffers. */
     std::uint32_t totalPackets() const override;
+
+    /** Whether any input buffer has a ready queue — equivalently,
+     *  holds a packet — read from the ready masks alone. */
+    bool hasWork() const override
+    {
+        for (const BufferModel *buf : bufferPtrs) {
+            if (buf->anyReady())
+                return true;
+        }
+        return false;
+    }
 
     /** Event counters. */
     const SwitchStats &stats() const { return switchStats; }

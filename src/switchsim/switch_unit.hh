@@ -137,6 +137,9 @@ class SwitchUnit
     /** Packets currently stored. */
     virtual std::uint32_t totalPackets() const = 0;
 
+    /** Whether any packet is stored (the watchdog's "has work"). */
+    virtual bool hasWork() const { return totalPackets() > 0; }
+
     /** Slots currently occupied. */
     virtual std::uint32_t totalUsedSlots() const = 0;
 
