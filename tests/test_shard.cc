@@ -11,6 +11,8 @@
  *     recovery (the coordinator-replayed move loop),
  *   - a blocking Omega network (stage-major switch ids, the
  *     topology the paper's tables run on).
+ * A sparse 16x16 torus, clean and with recovery, covers the idle
+ * switch skip, which almost every switch takes there.
  *
  * Plus the guard rails: an explicit crosscheck that a one-shard run
  * equals a default-config run of the unsharded engine, and the clean
@@ -171,6 +173,54 @@ TEST(ShardIdentity, SoftFaultTorusIsBitIdentical)
     const Observed eight = runTorus(cfg, 8);
     ASSERT_GT(one.lifetime.delivered, 0u);
     expectIdentical(one, eight, "soft-fault torus: 1 vs 8 shards");
+}
+
+FabricConfig
+sparseTorus()
+{
+    // Load 0.01 on a 16x16 blocking 2-VC torus: almost every
+    // switch-cycle takes the idle-switch skip, the regime where a
+    // skip that drifted from full arbitration would show first.
+    FabricConfig cfg = FabricConfig::torus();
+    cfg.width = 16;
+    cfg.height = 16;
+    cfg.offeredLoad = 0.01;
+    cfg.common.seed = 23;
+    cfg.common.warmupCycles = 200;
+    cfg.common.measureCycles = 800;
+    cfg.common.auditEveryCycles = 100;
+    cfg.common.watchdogStallCycles = 500;
+    return cfg;
+}
+
+TEST(ShardIdentity, SparseTorusIsBitIdenticalAcrossShardCounts)
+{
+    const Observed one = runTorus(sparseTorus(), 1);
+    const Observed two = runTorus(sparseTorus(), 2);
+    const Observed eight = runTorus(sparseTorus(), 8);
+    ASSERT_GT(one.lifetime.delivered, 0u);
+    expectIdentical(one, two, "sparse torus: 1 vs 2 shards");
+    expectIdentical(one, eight, "sparse torus: 1 vs 8 shards");
+}
+
+TEST(ShardIdentity, SparseRecoveringTorusIsBitIdentical)
+{
+    // Dead links re-home the packets queued behind them: queues
+    // empty outside arbitration, leaving stale counts for the idle
+    // skip to clear exactly as a full pass would.
+    FabricConfig cfg = sparseTorus();
+    cfg.common.faults.seed = 3;
+    cfg.common.faults.linkDownFraction = 0.1;
+    cfg.common.recovery.policy = RecoveryPolicy::RetransmitReroute;
+    const Observed one = runTorus(cfg, 1);
+    const Observed two = runTorus(cfg, 2);
+    const Observed eight = runTorus(cfg, 8);
+    ASSERT_GT(one.lifetime.delivered, 0u);
+    FabricSimulator rerouted(cfg);
+    rerouted.run();
+    EXPECT_GT(rerouted.faultReport().recovery.packetsRerouted, 0u);
+    expectIdentical(one, two, "sparse faulty torus: 1 vs 2 shards");
+    expectIdentical(one, eight, "sparse faulty torus: 1 vs 8 shards");
 }
 
 // ------------------------------------------------------------ omega
