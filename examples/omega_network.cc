@@ -3,6 +3,9 @@
  * Run the paper's 64x64 Omega-network experiment from the command
  * line, with every knob exposed: buffer organization, slots,
  * protocol, arbitration, traffic pattern, load, and run length.
+ * The harness surface (--seed, --warmup, --measure, --shards,
+ * --vcs, --workload, the fault plan, --audit-every, --watchdog,
+ * --recovery, telemetry) is the one every bench shares.
  *
  * Examples:
  *   omega_network --buffer damq --load 0.6
@@ -10,6 +13,9 @@
  *   omega_network --buffer samq --traffic hotspot --load 0.3
  *   omega_network --radix 2 --slots 2 --buffer damq --load 0.4
  *   omega_network --switching wormhole --slots 8 --load 0.5
+ *   omega_network --workload onoff --workload-burstiness 4 --load 0.2
+ *   omega_network --packet-drop-rate 1e-3 --audit-every 500 \
+ *                 --watchdog 2000 --shards 2
  */
 
 #include <iostream>
@@ -42,25 +48,8 @@ main(int argc, char **argv)
     args.addOption("hotfraction", "0.05",
                    "hot-spot fraction (traffic=hotspot)");
     args.addOption("load", "0.5", "offered load in [0, 1]");
-    args.addOption("warmup", "2000", "warm-up network cycles");
-    args.addOption("cycles", "12000", "measured network cycles");
-    args.addOption("seed", "1", "random seed");
-    args.addOption("fault-drop", "0",
-                   "per-link packet-drop probability");
-    args.addOption("fault-corrupt", "0",
-                   "per-link header bit-flip probability");
-    args.addOption("fault-stuck", "0",
-                   "per-switch arbiter-stuck probability");
-    args.addOption("fault-leak", "0",
-                   "per-switch buffer slot-leak probability");
-    args.addOption("fault-credit", "0",
-                   "per-switch delayed-credit probability");
-    args.addOption("fault-seed", "1", "fault-plan random seed");
-    args.addOption("audit-every", "0",
-                   "invariant-audit period in cycles (0 = off)");
-    args.addOption("watchdog", "0",
-                   "deadlock-watchdog stall threshold (0 = off)");
     args.addFlag("csv", "emit one CSV line instead of the report");
+    addCommonSimFlags(args);
     args.parse(argc, argv);
 
     FabricConfig cfg;
@@ -76,20 +65,9 @@ main(int argc, char **argv)
     cfg.traffic = args.getString("traffic");
     cfg.hotSpotFraction = args.getDouble("hotfraction");
     cfg.offeredLoad = args.getDouble("load");
-    cfg.common.warmupCycles = static_cast<Cycle>(args.getInt("warmup"));
-    cfg.common.measureCycles = static_cast<Cycle>(args.getInt("cycles"));
-    cfg.common.seed = static_cast<std::uint64_t>(args.getInt("seed"));
-    cfg.common.faults.packetDropRate = args.getDouble("fault-drop");
-    cfg.common.faults.headerBitFlipRate = args.getDouble("fault-corrupt");
-    cfg.common.faults.arbiterStuckRate = args.getDouble("fault-stuck");
-    cfg.common.faults.slotLeakRate = args.getDouble("fault-leak");
-    cfg.common.faults.creditDelayRate = args.getDouble("fault-credit");
-    cfg.common.faults.seed =
-        static_cast<std::uint64_t>(args.getInt("fault-seed"));
-    cfg.common.auditEveryCycles =
-        static_cast<Cycle>(args.getInt("audit-every"));
-    cfg.common.watchdogStallCycles =
-        static_cast<Cycle>(args.getInt("watchdog"));
+    cfg.common.warmupCycles = 2000;
+    cfg.common.measureCycles = 12000;
+    applyCommonSimFlags(args, cfg.common, "omega_network");
 
     FabricSimulator sim(cfg);
     const core::SyncResult r = sim.run();
