@@ -1085,5 +1085,35 @@ TEST(SwitchingFlagsDeathTest, FlitCountUnderPacketSyncIsRejected)
     EXPECT_EQ(plain.switching, Switching::PacketSync);
 }
 
+TEST(SwitchingFlagsDeathTest, RouteCyclesUnderPacketSyncIsRejected)
+{
+    // Packet-sync moves one hop per cycle, so R > 1 would be
+    // silently meaningless there; the flag set is refused instead.
+    ArgParser args("t", "t");
+    addSwitchingFlags(args, "packet-sync", "blocking");
+    parseArgs(args, {"--route-cycles", "4"});
+    FabricConfig cfg;
+    EXPECT_EXIT(applySwitchingFlags(args, cfg),
+                testing::ExitedWithCode(1),
+                "--route-cycles 4 needs a flit-level --switching");
+
+    ArgParser negative("t", "t");
+    addSwitchingFlags(negative, "vct", "blocking");
+    parseArgs(negative, {"--route-cycles", "-2"});
+    FabricConfig vct;
+    vct.switching = Switching::VirtualCutThrough;
+    EXPECT_EXIT(applySwitchingFlags(negative, vct),
+                testing::ExitedWithCode(1), "--route-cycles wants");
+
+    // Under a flit-level mode the value lands in the config.
+    ArgParser flit("t", "t");
+    addSwitchingFlags(flit, "packet-sync", "blocking");
+    parseArgs(flit, {"--switching", "vct", "--route-cycles", "4"});
+    FabricConfig routed;
+    applySwitchingFlags(flit, routed);
+    EXPECT_EQ(routed.switching, Switching::VirtualCutThrough);
+    EXPECT_EQ(routed.routeCycles, 4u);
+}
+
 } // namespace
 } // namespace damq
