@@ -59,13 +59,13 @@ struct RunOut
     FaultReport report;
 };
 
-/** Run @p cfg to completion and keep its fault record. */
+/** Keep a finished run's result and fault record. */
 RunOut
-runPoint(const FabricConfig &cfg)
+observe(const FabricTask &, FabricSimulator &sim,
+        const core::SyncResult &result)
 {
-    FabricSimulator sim(cfg);
     RunOut run;
-    run.result = sim.run();
+    run.result = result;
     run.faultDropped = sim.lifetime().faultDropped;
     run.report = sim.faultReport();
     return run;
@@ -162,8 +162,7 @@ main(int argc, char **argv)
            "failed-link fraction swept, none vs retransmit+reroute.");
 
     // ---- Task list: Omega points first, then torus points. ------
-    std::vector<std::function<RunOut()>> tasks;
-    std::vector<std::string> labels;
+    std::vector<FabricTask> tasks;
 
     const RecoveryPolicy omega_policies[] = {
         RecoveryPolicy::None, RecoveryPolicy::Retransmit};
@@ -171,18 +170,13 @@ main(int argc, char **argv)
         for (const double rate : kRates) {
             for (const RecoveryPolicy policy : omega_policies) {
                 FabricConfig cfg = omegaPoint(type, rate, policy);
-                std::string label = detail::concat(
-                    "omega:", bufferTypeName(type),
-                    "@rate=", formatFixed(rate, 4), "/",
-                    recoveryPolicyName(policy));
                 applyCommonSimFlags(args, cfg.common,
                                     "degradation");
-                if (cfg.common.telemetry.enabled()) {
-                    cfg.common.telemetry.outputPrefix +=
-                        "." + sanitizeFileToken(label);
-                }
-                labels.push_back(std::move(label));
-                tasks.push_back([cfg]() { return runPoint(cfg); });
+                tasks.push_back({detail::concat(
+                                     "omega:", bufferTypeName(type),
+                                     "@rate=", formatFixed(rate, 4),
+                                     "/", recoveryPolicyName(policy)),
+                                 cfg});
             }
         }
     }
@@ -190,21 +184,19 @@ main(int argc, char **argv)
     for (const double fraction : kFractions) {
         for (const RecoveryPolicy policy : kTorusPolicies) {
             FabricConfig cfg = torusPoint(fraction, policy);
-            std::string label = detail::concat(
-                "torus:down=", formatFixed(fraction, 2), "/",
-                recoveryPolicyName(policy));
             applyCommonSimFlags(args, cfg.common, "degradation");
-            if (cfg.common.telemetry.enabled()) {
-                cfg.common.telemetry.outputPrefix +=
-                    "." + sanitizeFileToken(label);
-            }
-            labels.push_back(std::move(label));
-            tasks.push_back([cfg]() { return runPoint(cfg); });
+            tasks.push_back({detail::concat(
+                                 "torus:down=", formatFixed(fraction, 2),
+                                 "/", recoveryPolicyName(policy)),
+                             cfg});
         }
     }
 
     const std::vector<std::optional<RunOut>> runs = runner.mapGuarded(
-        tasks.size(), [&tasks](std::size_t i) { return tasks[i](); },
+        tasks.size(),
+        [&tasks](std::size_t i) {
+            return runFabricTask(tasks[i], observe);
+        },
         guard, &runOutCycles);
     const std::vector<TaskOutcome> &outcomes = runner.taskOutcomes();
 
@@ -396,7 +388,7 @@ main(int argc, char **argv)
         json.beginArray();
         for (std::size_t i = 0; i < outcomes.size(); ++i) {
             json.beginObject();
-            json.field("label", labels[i]);
+            json.field("label", tasks[i].label);
             json.field("status",
                        taskStatusName(outcomes[i].status));
             json.field("attempts",
@@ -408,6 +400,6 @@ main(int argc, char **argv)
         }
         json.endArray();
     }
-    writePerfSidecar("degradation", runner, labels);
+    writePerfSidecar("degradation", runner, taskLabels(tasks));
     return 0;
 }

@@ -115,18 +115,19 @@ omegaConfig(BufferType type, Switching mode, std::uint32_t flits,
     return cfg;
 }
 
-/** Run @p cfg, drain it, and fold the conservation laws into a Row. */
+/** Drain a finished run and fold the conservation laws into a Row. */
 Row
-observe(const FabricConfig &cfg, const std::string &workload,
-        BufferType type, Switching mode, double load)
+observe(const FabricTask &task, FabricSimulator &sim,
+        const core::SyncResult &result)
 {
-    FabricSimulator sim(cfg);
+    const FabricConfig &cfg = task.config;
     Row row;
-    row.workload = workload;
-    row.buffer = type;
-    row.switching = mode;
-    row.load = load;
-    row.result = sim.run();
+    row.workload =
+        cfg.topology == TopologyKind::Torus ? "torus8x8" : "omega64";
+    row.buffer = cfg.bufferType;
+    row.switching = cfg.switching;
+    row.load = cfg.offeredLoad;
+    row.result = result;
     row.drained = sim.drain(kDrainBudget);
     row.creditsAtRest = sim.syncEngine().flitCreditsAtRest();
     const FaultReport report = sim.faultReport();
@@ -241,65 +242,31 @@ main(int argc, char **argv)
            "audit + deadlock watchdog armed on every row, credit "
            "conservation checked after a full drain");
 
-    struct Task
-    {
-        std::string label;
-        std::string workload;
-        BufferType buffer;
-        Switching switching;
-        double load;
-    };
-    std::vector<Task> tasks;
+    std::vector<FabricTask> tasks;
     for (const std::string workload : {"torus8x8", "omega64"}) {
+        const bool torus = workload == "torus8x8";
         for (const Switching mode : modes) {
             for (const BufferType type : kAllBufferTypes) {
                 for (const double load : kLoads) {
+                    FabricConfig cfg =
+                        torus ? torusConfig(type, mode, flits, load)
+                              : omegaConfig(type, mode, flits, load);
+                    cfg.protocol = protocol;
+                    applyCommonSimFlags(args, cfg.common, "flit");
+                    // Dateline torus needs 2 VCs; the stage fabric 1.
+                    cfg.common.vcs = torus ? 2 : 1;
                     tasks.push_back(
                         {detail::concat(workload, "/",
                                         bufferTypeName(type), "/",
                                         switchingName(mode), "@",
                                         formatFixed(load, 2)),
-                         workload, type, mode, load});
+                         cfg});
                 }
             }
         }
     }
 
-    // Like runSimSweep: per-task telemetry files get the task's
-    // label appended so concurrent tasks never share a file.
-    const auto taskPrefix = [&](SimCommonConfig &common,
-                                const std::string &label) {
-        if (common.telemetry.enabled() &&
-            !common.telemetry.outputPrefix.empty()) {
-            common.telemetry.outputPrefix +=
-                "." + sanitizeFileToken(label);
-        }
-    };
-
-    const std::vector<Row> rows = runner.map(
-        tasks.size(), [&](std::size_t i) {
-            const Task &task = tasks[i];
-            if (task.workload == "torus8x8") {
-                FabricConfig cfg =
-                    torusConfig(task.buffer, task.switching, flits,
-                                task.load);
-                cfg.protocol = protocol;
-                applyCommonSimFlags(args, cfg.common, "flit");
-                taskPrefix(cfg.common, task.label);
-                cfg.common.vcs = 2; // dateline geometry is fixed
-                return observe(cfg, task.workload, task.buffer,
-                               task.switching, task.load);
-            }
-            FabricConfig cfg = omegaConfig(task.buffer,
-                                            task.switching, flits,
-                                            task.load);
-            cfg.protocol = protocol;
-            applyCommonSimFlags(args, cfg.common, "flit");
-            taskPrefix(cfg.common, task.label);
-            cfg.common.vcs = 1; // single-VC stage fabric
-            return observe(cfg, task.workload, task.buffer,
-                           task.switching, task.load);
-        });
+    const std::vector<Row> rows = runSimSweep(runner, tasks, observe);
 
     for (const Row &row : rows)
         enforceRow(row);
@@ -369,11 +336,6 @@ main(int argc, char **argv)
         }
         json.endArray();
     }
-    writePerfSidecar("flit", runner, [&] {
-        std::vector<std::string> labels;
-        for (const Task &task : tasks)
-            labels.push_back(task.label);
-        return labels;
-    }());
+    writePerfSidecar("flit", runner, taskLabels(tasks));
     return 0;
 }

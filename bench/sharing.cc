@@ -35,6 +35,8 @@
 
 #include <iostream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hh"
@@ -123,17 +125,15 @@ sharingConfig(const Combo &combo, double incast, double load)
     return cfg;
 }
 
-/** Run @p cfg, drain it, and fold the audit verdicts into a Row. */
+/** Drain a finished run and fold the audit verdicts into a Row
+ *  (the caller names its workload and combo). */
 Row
-observe(const FabricConfig &cfg, const std::string &workload,
-        const Combo &combo, double load)
+observe(const FabricTask &task, FabricSimulator &sim,
+        const core::SyncResult &result)
 {
-    FabricSimulator sim(cfg);
     Row row;
-    row.workload = workload;
-    row.combo = combo.label;
-    row.load = load;
-    row.result = sim.run();
+    row.load = task.config.offeredLoad;
+    row.result = result;
     row.drained = sim.drain(kDrainBudget);
     const FaultReport report = sim.faultReport();
     row.watchdogTrips = report.watchdogFired ? 1 : 0;
@@ -258,50 +258,28 @@ main(int argc, char **argv)
            "beat the static partition's p99 on the bursty "
            "mild-incast rows");
 
-    struct Task
-    {
-        std::string label;
-        std::string workload;
-        const Combo *combo;
-        double incast;
-        double load;
-    };
-    std::vector<Task> tasks;
+    std::vector<FabricTask> tasks;
+    std::vector<std::pair<std::string, std::string>> names;
     for (const double incast : kIncastFractions) {
         const std::string workload =
             detail::concat("incast", formatFixed(incast * 100, 0));
         for (const Combo &combo : kCombos) {
             for (const double load : kLoads) {
+                FabricConfig cfg = sharingConfig(combo, incast, load);
+                applyCommonSimFlags(args, cfg.common, "sharing");
+                cfg.common.vcs = 2; // dateline geometry is fixed
                 tasks.push_back({detail::concat(workload, "/",
                                                 combo.label, "@",
                                                 formatFixed(load, 2)),
-                                 workload, &combo, incast, load});
+                                 cfg});
+                names.emplace_back(workload, combo.label);
             }
         }
     }
 
-    // Like runSimSweep: per-task telemetry files get the task's
-    // label appended so concurrent tasks never share a file.
-    const auto taskPrefix = [&](SimCommonConfig &common,
-                                const std::string &label) {
-        if (common.telemetry.enabled() &&
-            !common.telemetry.outputPrefix.empty()) {
-            common.telemetry.outputPrefix +=
-                "." + sanitizeFileToken(label);
-        }
-    };
-
-    const std::vector<Row> rows = runner.map(
-        tasks.size(), [&](std::size_t i) {
-            const Task &task = tasks[i];
-            FabricConfig cfg = sharingConfig(*task.combo, task.incast,
-                                            task.load);
-            applyCommonSimFlags(args, cfg.common, "sharing");
-            taskPrefix(cfg.common, task.label);
-            cfg.common.vcs = 2; // dateline geometry is fixed
-            return observe(cfg, task.workload, *task.combo,
-                           task.load);
-        });
+    std::vector<Row> rows = runSimSweep(runner, tasks, observe);
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        std::tie(rows[i].workload, rows[i].combo) = names[i];
 
     renderTables(rows);
 
@@ -371,11 +349,6 @@ main(int argc, char **argv)
         }
         json.endArray();
     }
-    writePerfSidecar("sharing", runner, [&] {
-        std::vector<std::string> labels;
-        for (const Task &task : tasks)
-            labels.push_back(task.label);
-        return labels;
-    }());
+    writePerfSidecar("sharing", runner, taskLabels(tasks));
     return 0;
 }

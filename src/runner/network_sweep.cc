@@ -12,20 +12,28 @@ measuredCyclesOf(const core::SyncResult &r)
 
 } // namespace
 
+FabricConfig
+taskConfig(const FabricTask &task)
+{
+    FabricConfig cfg = task.config;
+    if (cfg.common.telemetry.enabled() &&
+        !cfg.common.telemetry.outputPrefix.empty()) {
+        cfg.common.telemetry.outputPrefix +=
+            "." + sanitizeFileToken(task.label);
+    }
+    return cfg;
+}
+
 std::vector<core::SyncResult>
 runSimSweep(SweepRunner &runner, const std::vector<FabricTask> &tasks)
 {
+    const auto result_only = [](const FabricTask &, FabricSimulator &,
+                                const core::SyncResult &result) {
+        return result;
+    };
     return runner.map(
         tasks.size(),
-        [&tasks](std::size_t i) {
-            FabricConfig cfg = tasks[i].config;
-            if (cfg.common.telemetry.enabled() &&
-                !cfg.common.telemetry.outputPrefix.empty()) {
-                cfg.common.telemetry.outputPrefix +=
-                    "." + sanitizeFileToken(tasks[i].label);
-            }
-            return FabricSimulator(cfg).run();
-        },
+        [&](std::size_t i) { return runFabricTask(tasks[i], result_only); },
         &measuredCyclesOf);
 }
 
