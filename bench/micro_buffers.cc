@@ -2,8 +2,10 @@
  * @file
  * Data-structure microbenchmarks (google-benchmark): raw cost of
  * buffer push/pop per organization, DAMQ's linked-list traffic,
- * crossbar arbitration, one Omega-network cycle, and a small
- * Markov solve.  These quantify the implementation-complexity
+ * crossbar arbitration (a churning 4-port switch, and the bare
+ * arbitrate primitive on a torus-router-shaped 5-port 2-VC switch
+ * that is empty, has one busy queue, or is saturated), one
+ * Omega-network cycle, and a small Markov solve.  These quantify the implementation-complexity
  * trade-offs Section 2 discusses qualitatively.
  *
  * Unless the caller passes its own --benchmark_out, results are
@@ -103,6 +105,51 @@ BM_Arbitrate(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 
+/** Occupancy of the BM_ArbitratePrimitive switch. */
+enum class Occupancy
+{
+    Empty,    ///< every buffer empty: the idle-switch skip
+    OneBusy,  ///< one queue of one input holds a packet
+    Saturated ///< every queue of every input holds packets
+};
+
+void
+BM_ArbitratePrimitive(benchmark::State &state)
+{
+    const auto policy =
+        static_cast<ArbitrationPolicy>(state.range(0));
+    const auto occupancy = static_cast<Occupancy>(state.range(1));
+    constexpr PortId kPorts = 5;
+    constexpr VcId kVcs = 2;
+    // Two slots per (output, VC) queue, the torus router's shape.
+    SwitchModel sw(kPorts, BufferType::Damq, 2 * kPorts * kVcs, policy,
+                   8, kVcs);
+    PacketId id = 0;
+    const auto fill = [&](PortId in, PortId out, VcId vc) {
+        Packet p = makePacket(id++, out);
+        p.vc = vc;
+        sw.tryReceive(in, p);
+    };
+    if (occupancy == Occupancy::OneBusy)
+        fill(0, 2, 1);
+    if (occupancy == Occupancy::Saturated) {
+        for (PortId in = 0; in < kPorts; ++in)
+            for (PortId out = 0; out < kPorts; ++out)
+                for (VcId vc = 0; vc < kVcs; ++vc)
+                    fill(in, out, vc);
+    }
+    auto always = [](PortId, QueueKey, const Packet &) { return true; };
+    // Arbitrate without popping: buffers stay put, so every
+    // iteration times the same schedule computation.
+    GrantList grants;
+    grants.reserve(kPorts);
+    for (auto _ : state) {
+        sw.arbitrateInto(always, grants);
+        benchmark::DoNotOptimize(grants.data());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+
 void
 BM_NetworkCycle(benchmark::State &state)
 {
@@ -144,6 +191,13 @@ BENCHMARK(BM_Arbitrate)
     ->Arg(static_cast<int>(ArbitrationPolicy::Dumb))
     ->Arg(static_cast<int>(ArbitrationPolicy::Smart))
     ->ArgName("policy");
+BENCHMARK(BM_ArbitratePrimitive)
+    ->ArgsProduct({{static_cast<int>(ArbitrationPolicy::Dumb),
+                    static_cast<int>(ArbitrationPolicy::Smart)},
+                   {static_cast<int>(Occupancy::Empty),
+                    static_cast<int>(Occupancy::OneBusy),
+                    static_cast<int>(Occupancy::Saturated)}})
+    ->ArgNames({"policy", "occupancy"});
 BENCHMARK(BM_NetworkCycle)
     ->Arg(static_cast<int>(BufferType::Fifo))
     ->Arg(static_cast<int>(BufferType::Damq))
