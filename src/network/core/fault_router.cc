@@ -112,6 +112,18 @@ FaultRouter::illegalTurn(SwitchId sw, PortId in, PortId out)
 }
 
 void
+FaultRouter::prepare()
+{
+    if (mask.deadLinks() == 0)
+        return;
+    refresh();
+    for (NodeId dest = 0; dest < topo.numEndpoints(); ++dest) {
+        if (!tableBuilt[dest])
+            buildTable(dest);
+    }
+}
+
+void
 FaultRouter::refresh()
 {
     if (orientationBuilt && builtVersion == mask.version())

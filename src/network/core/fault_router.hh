@@ -109,6 +109,15 @@ class FaultRouter
      */
     bool illegalTurn(SwitchId sw, PortId in, PortId out);
 
+    /**
+     * Bring the orientation and every destination's table up to
+     * date with the mask, so the queries above only read until the
+     * mask next changes.  The engine calls it on the coordinator
+     * before its sharded phases: building tables lazily from
+     * concurrent shards would race.  No-op while the mask is clean.
+     */
+    void prepare();
+
   private:
     /** Rebuild orientation + drop cached tables on a mask change. */
     void refresh();
